@@ -15,15 +15,10 @@ from pathlib import Path
 import numpy as np
 
 from chenhopf.averaging import averaged_spectrum, averaged_zeros
-from chenhopf.chen import (
-    canonical_config,
-    random_admissible_config,
-    standard_form_field,
-    standard_form_jacobian,
-)
-from chenhopf.integrators import integrate_with_variational
+from chenhopf.chen import canonical_config, random_admissible_config
 from chenhopf.linear_flow import period
-from chenhopf.numerics import QuarticSpectrum, eig4, newton_solve
+from chenhopf.numerics import QuarticSpectrum
+from chenhopf.orbits import equilibrium_near, floquet_multipliers
 
 EPS_GRID = [0.0025, 0.005, 0.01, 0.02, 0.04, 0.08]
 OUT = Path(__file__).resolve().parent.parent / "out"
@@ -42,23 +37,18 @@ def main() -> int:
         spec = averaged_spectrum(cfg)
         for eps in EPS_GRID:
             ceps = cfg.with_epsilon(eps)
-            report = newton_solve(
-                lambda u: standard_form_field(ceps, u), zero.point,
-                jacobian=lambda u: standard_form_jacobian(ceps, u), tol=1e-13,
-            )
+            report = equilibrium_near(ceps, zero.point)
             if not report.converged:
                 continue
             u_eq = report.root
-            _, mono = integrate_with_variational(
-                lambda s: standard_form_field(ceps, s),
-                lambda s: standard_form_jacobian(ceps, s), u_eq, T0)
+            multipliers = floquet_multipliers(ceps, u_eq, T0)
             predicted = QuarticSpectrum.from_iterable(
                 [np.exp(eps * T0 * lam) for lam in spec.values])
             rows.append({
                 "set": name,
                 "epsilon": eps,
                 "distance_to_zero": float(np.linalg.norm(u_eq - zero.point)),
-                "multiplier_prediction_error": eig4(mono).match_distance(predicted),
+                "multiplier_prediction_error": multipliers.match_distance(predicted),
             })
 
     path = OUT / "branch_scaling.csv"

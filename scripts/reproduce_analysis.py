@@ -24,28 +24,12 @@ from chenhopf.averaging import (
     jacobian_determinant,
     stability_verdict,
 )
-from chenhopf.chen import (
-    canonical_config,
-    check_zero_hopf_conditions,
-    standard_form_field,
-    standard_form_jacobian,
-)
-from chenhopf.integrators import integrate_with_variational
+from chenhopf.chen import canonical_config, check_zero_hopf_conditions
 from chenhopf.linear_flow import period
-from chenhopf.numerics import eig4, newton_solve
-from chenhopf.orbits import continuation_sweep
+from chenhopf.orbits import continuation_sweep, equilibrium_near, floquet_multipliers
 
 EPS_GRID = [0.005, 0.01, 0.02, 0.04]
 OUT = Path(__file__).resolve().parent.parent / "out"
-
-
-def equilibrium_near(config, point):
-    report = newton_solve(
-        lambda u: standard_form_field(config, u), point,
-        jacobian=lambda u: standard_form_jacobian(config, u), tol=1e-13,
-    )
-    assert report.converged
-    return report.root
 
 
 def main() -> int:
@@ -82,12 +66,11 @@ def main() -> int:
     branch_rows = []
     for eps in EPS_GRID:
         ceps = cfg.with_epsilon(eps)
-        u_eq = equilibrium_near(ceps, first.point)
+        report = equilibrium_near(ceps, first.point)
+        assert report.converged
+        u_eq = report.root
         dist = float(np.linalg.norm(u_eq - first.point))
-        _, mono = integrate_with_variational(
-            lambda s: standard_form_field(ceps, s),
-            lambda s: standard_form_jacobian(ceps, s), u_eq, T0)
-        trivial_gap = min(abs(m - 1.0) for m in eig4(mono).values)
+        trivial_gap = min(abs(m - 1.0) for m in floquet_multipliers(ceps, u_eq, T0).values)
         branch_rows.append({"epsilon": eps, "distance_to_zero": dist,
                             "trivial_multiplier_gap": trivial_gap})
         print(f"  eps={eps}: |u_eq - p1| = {dist:.6e} "

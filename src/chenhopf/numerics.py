@@ -1,10 +1,10 @@
 """Small fixed-dimension numerical kernels.
 
 Everything in here is deliberately dimension-4 (or 5 for the extended
-shooting system) and self-contained: dense linear solves with partial
-pivoting, periodic quadrature, damped Newton iteration, central-difference
-Jacobians, and a quartic eigensolver built from the Faddeev-LeVerrier
-characteristic polynomial and Durand-Kerner root iteration.
+shooting system): periodic quadrature, damped Newton iteration with a
+conditioning check, central-difference Jacobians, and 4x4 eigenvalues with a
+backward-error certificate relative to the matrix norm. numpy.linalg does
+the linear algebra.
 """
 from __future__ import annotations
 
@@ -17,16 +17,19 @@ import numpy as np
 #: default relative step for central differences
 DEFAULT_FD_STEP = float(np.sqrt(np.finfo(float).eps))
 
-#: pivot threshold, relative to the matrix infinity norm
-PIVOT_RTOL = 1e-14
+#: a Newton Jacobian with reciprocal condition number below this is singular
+RCOND_MIN = 1e-14
+
+#: certified eigenvalues are exact for a perturbation this small relative to |M|_2
+EIG_BACKWARD_RTOL = 1e-12
 
 
 class SingularMatrixError(RuntimeError):
-    """Linear solve hit a pivot below the singularity threshold."""
+    """Newton Jacobian is numerically singular."""
 
 
 class EigenSolveError(RuntimeError):
-    """Durand-Kerner iteration did not produce certified roots."""
+    """An eigenvalue failed its backward-error certificate."""
 
     def __init__(self, message: str, estimates: Sequence[complex]):
         super().__init__(message)
@@ -85,56 +88,10 @@ class NewtonReport:
     converged: bool
 
 
-def solve_linear(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a small dense system by Gaussian elimination with partial pivoting.
-
-    Raises SingularMatrixError when the best available pivot falls below
-    PIVOT_RTOL times the matrix infinity norm.
-    """
-    a = np.array(matrix, dtype=np.result_type(matrix, rhs, float))
-    b = np.array(rhs, dtype=a.dtype)
-    n = a.shape[0]
-    if a.shape != (n, n) or b.shape != (n,):
-        raise ValueError(f"shape mismatch: matrix {a.shape}, rhs {b.shape}")
-    scale = max(float(np.max(np.sum(np.abs(a), axis=1))), 1e-300)
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[piv, k]) < PIVOT_RTOL * scale:
-            raise SingularMatrixError(
-                f"pivot {abs(a[piv, k]):.3e} below {PIVOT_RTOL:.0e} * |A|_inf = "
-                f"{PIVOT_RTOL * scale:.3e} at column {k}"
-            )
-        if piv != k:
-            a[[k, piv]] = a[[piv, k]]
-            b[[k, piv]] = b[[piv, k]]
-        for i in range(k + 1, n):
-            m = a[i, k] / a[k, k]
-            a[i, k:] -= m * a[k, k:]
-            b[i] -= m * b[k]
-    x = np.zeros_like(b)
-    for i in range(n - 1, -1, -1):
-        x[i] = (b[i] - a[i, i + 1:] @ x[i + 1:]) / a[i, i]
-    return x
-
-
 def determinant(matrix: np.ndarray) -> complex | float:
-    """Determinant via the same elimination; returns 0 for singular input."""
-    a = np.array(matrix, dtype=np.result_type(matrix, float))
-    n = a.shape[0]
-    sign = 1.0
-    det = 1.0
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(a[k:, k])))
-        if a[piv, k] == 0:
-            return 0.0
-        if piv != k:
-            a[[k, piv]] = a[[piv, k]]
-            sign = -sign
-        det *= a[k, k]
-        for i in range(k + 1, n):
-            a[i, k:] -= (a[i, k] / a[k, k]) * a[k, k:]
-    out = sign * det
-    return complex(out) if np.iscomplexobj(a) else float(out)
+    """numpy.linalg.det as a Python float, or complex for complex input."""
+    det = np.linalg.det(matrix)
+    return complex(det) if np.iscomplexobj(det) else float(det)
 
 
 def periodic_trapezoid(
@@ -193,11 +150,13 @@ def newton_solve(
 ) -> NewtonReport:
     """Damped Newton iteration on a square nonlinear system.
 
-    The step is damped by halving (up to 30 times) whenever the residual
-    infinity norm fails to decrease. Convergence is checked before the first
-    step, so a seed that already satisfies the tolerance reports zero
-    iterations. Running out of iterations yields a non-converged report
-    rather than an exception; a singular Jacobian raises.
+    Each step solves J step = -F with numpy.linalg.solve. The step is damped
+    by halving (up to 30 times) whenever the residual infinity norm fails to
+    decrease. Convergence is checked before the first step, so a seed that
+    already satisfies the tolerance reports zero iterations. Running out of
+    iterations yields a non-converged report rather than an exception; a
+    Jacobian that numpy cannot factor, or whose condition number exceeds
+    1/RCOND_MIN, raises SingularMatrixError.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -212,7 +171,14 @@ def newton_solve(
     for it in range(max_iter):
         if norm <= tol:
             return NewtonReport(root=x, iterations=it, residual_norm=norm, converged=True)
-        step = solve_linear(np.asarray(jac(x), dtype=float), -fx)
+        jx = np.asarray(jac(x), dtype=float)
+        try:
+            cond = np.linalg.cond(jx)
+            step = np.linalg.solve(jx, -fx)
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrixError(f"Jacobian solve failed: {exc}") from exc
+        if not cond * RCOND_MIN <= 1.0:
+            raise SingularMatrixError(f"Jacobian condition number {cond:.3e} above 1/RCOND_MIN")
         lam = 1.0
         for _ in range(30):
             x_try = x + lam * step
@@ -226,71 +192,24 @@ def newton_solve(
     return NewtonReport(root=x, iterations=max_iter, residual_norm=norm, converged=converged)
 
 
-def characteristic_polynomial(matrix: np.ndarray) -> np.ndarray:
-    """Monic coefficients of det(lambda*I - M) by the Faddeev-LeVerrier recurrence.
-
-    Returned in descending powers: [1, c3, c2, c1, c0] for a 4x4 input.
-    """
-    m = np.asarray(matrix, dtype=float)
-    n = m.shape[0]
-    if m.shape != (n, n):
-        raise ValueError(f"square matrix required, got {m.shape}")
-    _require_finite(m, "matrix")
-    coeffs = [1.0]
-    aux = np.eye(n)
-    for k in range(1, n + 1):
-        aux = m @ aux
-        c = -np.trace(aux) / k
-        coeffs.append(float(c))
-        aux = aux + c * np.eye(n)
-    return np.array(coeffs)
-
-
-def quartic_roots(coeffs: np.ndarray, tol: float = 1e-13, max_sweeps: int = 500) -> np.ndarray:
-    """All roots of a monic quartic by simultaneous Durand-Kerner iteration.
-
-    Initial guesses sit on a circle of radius 1 + max|coefficient|, rotated
-    off the real axis so real-coefficient symmetry cannot stall the sweep.
-    Stops when the largest update drops below tol (relative to the root
-    magnitude) or after max_sweeps sweeps; certification against the source
-    matrix happens in eig4.
-    """
-    c = np.asarray(coeffs, dtype=complex)
-    if c.shape != (5,) or c[0] != 1.0:
-        raise ValueError("monic quartic coefficients [1, c3, c2, c1, c0] required")
-    radius = 1.0 + float(np.max(np.abs(c)))
-    angles = 2 * np.pi * np.arange(4) / 4 + 0.4
-    z = radius * np.exp(1j * angles)
-    for _ in range(max_sweeps):
-        pz = ((((z + c[1]) * z + c[2]) * z + c[3]) * z) + c[4]
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        denom = np.prod(diff, axis=1)
-        delta = pz / denom
-        z = z - delta
-        if np.max(np.abs(delta)) <= tol * max(1.0, float(np.max(np.abs(z)))):
-            break
-    return z
-
-
 def eig4(matrix: np.ndarray) -> QuarticSpectrum:
-    """Eigenvalues of a real 4x4 matrix, certified by determinant residuals.
+    """Eigenvalues of a real 4x4 matrix from numpy.linalg.eigvals, certified.
 
-    Each root must satisfy |det(M - lambda*I)| <= 1e-8 * (1 + |M|_inf)^4;
-    otherwise EigenSolveError carries the final estimates.
+    Each value lambda must satisfy sigma_min(M - lambda*I) <= EIG_BACKWARD_RTOL
+    * |M|_2, i.e. be exact for a nearby matrix; otherwise EigenSolveError
+    carries the values. The bound is relative, so it holds at any matrix norm.
     """
     m = np.asarray(matrix, dtype=float)
     if m.shape != (4, 4):
         raise ValueError(f"4x4 matrix required, got {m.shape}")
     _require_finite(m, "matrix")
-    roots = quartic_roots(characteristic_polynomial(m))
-    norm = float(np.max(np.sum(np.abs(m), axis=1)))
-    bound = 1e-8 * (1.0 + norm) ** 4
-    for lam in roots:
-        res = abs(determinant(m.astype(complex) - lam * np.eye(4)))
+    values = np.linalg.eigvals(m)
+    bound = EIG_BACKWARD_RTOL * float(np.linalg.norm(m, 2))
+    backward = np.linalg.svd(m - values[:, None, None] * np.eye(4), compute_uv=False)[:, -1]
+    for lam, res in zip(values, backward):
         if not res <= bound:
             raise EigenSolveError(
-                f"root {lam!r} has determinant residual {res:.3e} > {bound:.3e}",
-                estimates=roots,
+                f"eigenvalue {lam!r} has backward error {res:.3e} > {bound:.3e}",
+                estimates=values,
             )
-    return QuarticSpectrum.from_iterable(roots)
+    return QuarticSpectrum.from_iterable(values)

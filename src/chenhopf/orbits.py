@@ -39,15 +39,17 @@ import numpy as np
 
 from .averaging import averaged_zeros
 from .chen import (
+    ChenParams,
     RegimeConfig,
     RegimeError,
     check_zero_hopf_conditions,
     standard_form_field,
     standard_form_jacobian,
+    vector_field_full,
 )
 from .integrators import IntegrationError, IntegratorConfig, Trajectory, integrate, integrate_with_variational
 from .linear_flow import period
-from .numerics import EigenSolveError, QuarticSpectrum, SingularMatrixError, eig4, newton_solve
+from .numerics import EigenSolveError, NewtonReport, QuarticSpectrum, SingularMatrixError, eig4, newton_solve
 
 #: accepted orbits must close up to this return-map residual
 RESIDUAL_GATE = 1e-9
@@ -169,8 +171,7 @@ def shoot(
             f"residual {report.residual_norm:.3e} above acceptance gate {RESIDUAL_GATE:.0e}",
             report=report,
         )
-    _, mono = integrate_with_variational(field, jac, u_star, t_star, integrator)
-    multipliers = eig4(mono)
+    multipliers = floquet_multipliers(config, u_star, t_star, integrator)
     orbit = PeriodicOrbit(
         epsilon=config.epsilon,
         initial_state=u_star,
@@ -180,16 +181,25 @@ def shoot(
         frame="scaled",
         branch=branch,
     )
-    # autonomous orbits carry the multiplier 1 exactly; at epsilon = 0 the
-    # monodromy is the identity and the quadruple eigenvalue cannot be
-    # resolved to this tolerance, so the gate applies to epsilon > 0 only
-    if config.epsilon > 0 and orbit.trivial_multiplier_defect() > TRIVIAL_MULTIPLIER_TOL:
+    # autonomous orbits carry the multiplier 1 exactly
+    if orbit.trivial_multiplier_defect() > TRIVIAL_MULTIPLIER_TOL:
         raise ShootingError(
             f"no Floquet multiplier within {TRIVIAL_MULTIPLIER_TOL:.0e} of 1 "
             f"(closest defect {orbit.trivial_multiplier_defect():.3e})",
             report=report,
         )
     return orbit
+
+
+def floquet_multipliers(
+    config: RegimeConfig, state, duration: float, integrator: IntegratorConfig | None = None
+) -> QuarticSpectrum:
+    """Certified eigenvalues of the monodromy matrix over duration from state."""
+    _, mono = integrate_with_variational(
+        lambda s: standard_form_field(config, s), lambda s: standard_form_jacobian(config, s),
+        state, duration, integrator or IntegratorConfig(),
+    )
+    return eig4(mono)
 
 
 def _require_admissible(config: RegimeConfig) -> None:
@@ -255,17 +265,8 @@ def _fixed_period_solution(config: RegimeConfig, seed, t0: float, branch: int) -
             f"fixed-period Newton did not converge (best residual {report.residual_norm:.3e})",
             report=report,
         )
-    _, mono = integrate_with_variational(field, jac, report.root, t0, integrator)
-    # the spectrum of mono - I resolves multipliers near 1 to the integration
-    # error; eig4(mono) would resolve a multiple multiplier 1 only to about
-    # 1e-4 and let the eps = 0 identity monodromy pass the gate below.
-    # mono - I has norm O(epsilon), and eig4's certificate is absolute, so it
-    # is solved at unit norm: the certificate then bounds the defects
-    # relative to that norm.
-    shifted = mono - np.eye(4)
-    scale = float(np.max(np.sum(np.abs(shifted), axis=1))) or 1.0
     try:
-        defects = eig4(shifted / scale)
+        multipliers = floquet_multipliers(config, report.root, t0, integrator)
     except EigenSolveError as exc:
         raise ShootingError(f"multipliers not certified: {exc}", report=report) from exc
     orbit = PeriodicOrbit(
@@ -273,7 +274,7 @@ def _fixed_period_solution(config: RegimeConfig, seed, t0: float, branch: int) -
         initial_state=report.root,
         period=t0,
         residual=report.residual_norm,
-        multipliers=QuarticSpectrum.from_iterable(1.0 + scale * d for d in defects.values),
+        multipliers=multipliers,
         frame="scaled",
         branch=branch,
     )
@@ -303,6 +304,12 @@ def averaged_periodic_solutions(config: RegimeConfig) -> tuple[PeriodicOrbit, Pe
     return _solve_both_branches(
         config, lambda seed, t0, branch: _fixed_period_solution(config, seed, t0, branch)
     )
+
+
+def equilibrium_near(config: RegimeConfig, point) -> NewtonReport:
+    """Newton on the standard-form field from point, to 1e-13: the nearby equilibrium."""
+    return newton_solve(lambda u: standard_form_field(config, u), point,
+                        jacobian=lambda u: standard_form_jacobian(config, u), tol=1e-13)
 
 
 def continuation_sweep(
@@ -423,8 +430,6 @@ def recurrence_defect(
     dissipation coefficients shrunk by epsilon, exactly as the frame mapping
     promises.
     """
-    from .chen import ChenParams, vector_field_full
-
     if orbit.frame == "original":
         p = config.params
         full = ChenParams(a=p.a, b=config.epsilon * p.b, c=p.a, d=p.d,

@@ -7,13 +7,11 @@ from chenhopf.numerics import (
     NewtonReport,
     QuarticSpectrum,
     SingularMatrixError,
-    characteristic_polynomial,
     determinant,
     eig4,
     finite_difference_jacobian,
     newton_solve,
     periodic_trapezoid,
-    solve_linear,
 )
 
 
@@ -94,19 +92,6 @@ def test_trapezoid_node_doubling_plateau(rng):
 
 
 # ------------------------------------------------------------ linear algebra
-
-def test_solve_linear_matches_numpy(rng):
-    for _ in range(20):
-        a = rng.standard_normal((4, 4))
-        b = rng.standard_normal(4)
-        assert np.allclose(solve_linear(a, b), np.linalg.solve(a, b), atol=1e-10)
-
-
-def test_solve_linear_singular_raises():
-    a = np.ones((4, 4))
-    with pytest.raises(SingularMatrixError):
-        solve_linear(a, np.ones(4))
-
 
 def test_determinant_matches_numpy(rng):
     for _ in range(20):
@@ -191,9 +176,9 @@ def test_fd_jacobian_reproduces_linear_maps(rng):
 # ------------------------------------------------------------ eigensolver
 
 def test_eig4_identity():
-    # a quadruple eigenvalue is resolvable only to about eps**(1/4)
+    # a quadruple eigenvalue of a normal matrix is resolved to rounding
     spec = eig4(np.eye(4))
-    assert max(abs(v - 1.0) for v in spec.values) < 1e-3
+    assert max(abs(v - 1.0) for v in spec.values) < 1e-12
 
 
 def test_eig4_diagonal_spectrum_canonical_order():
@@ -231,12 +216,6 @@ def test_eig4_rejects_nonfinite():
     m[0, 0] = np.inf
     with pytest.raises(ValueError):
         eig4(m)
-
-
-def test_characteristic_polynomial_matches_numpy(rng):
-    for _ in range(10):
-        m = rng.standard_normal((4, 4))
-        assert np.allclose(characteristic_polynomial(m), np.poly(m), atol=1e-10)
 
 
 def test_spectrum_match_distance_is_permutation_blind():

@@ -11,12 +11,13 @@ from chenhopf.chen import (
 )
 from chenhopf.integrators import IntegrationError, integrate_with_variational
 from chenhopf.linear_flow import period
-from chenhopf.numerics import QuarticSpectrum, eig4, newton_solve
+from chenhopf.numerics import QuarticSpectrum, eig4
 from chenhopf.orbits import (
     PeriodicOrbit,
     ShootingError,
     averaged_periodic_solutions,
     continuation_sweep,
+    equilibrium_near,
     find_bifurcating_orbits,
     orbit_trajectory,
     recurrence_defect,
@@ -25,16 +26,16 @@ from chenhopf.orbits import (
 )
 
 EPS_GRID = [0.005, 0.01, 0.02, 0.04]
+#: admissible (a, b, d, r) whose eps = 0 monodromy, the identity up to the
+#: integration error, an eigensolver must resolve near a quadruple multiplier 1
+NEAR_IDENTITY_MONODROMY_CONFIGS = [
+    (-1.076176047805256, 0.9337802189540753, 2.4267055813349567, -1.132630623424483),
+    (-1.1595099153091897, 1.1596443068061202, 1.9213220715560686, -0.6915316729329714),
+]
 
 
-def _equilibrium_near(config, point):
-    """Newton on the field itself: the nearby exact equilibrium."""
-    report = newton_solve(
-        lambda u: standard_form_field(config, u),
-        point,
-        jacobian=lambda u: standard_form_jacobian(config, u),
-        tol=1e-13,
-    )
+def _equilibrium_root(config, point):
+    report = equilibrium_near(config, point)
     assert report.converged
     return report.root
 
@@ -49,9 +50,9 @@ def test_shoot_unperturbed_seed_is_already_periodic():
     assert orbit.residual < 1e-10
     assert abs(orbit.period - T0) < 1e-12
     assert np.max(np.abs(orbit.initial_state - first.point)) < 1e-12
-    # the monodromy is the identity; its quadruple unit eigenvalue is only
-    # resolvable to about (integration error)**(1/4)
-    assert all(abs(m - 1.0) < 5e-3 for m in orbit.multipliers.values)
+    # the monodromy is the identity up to the integration error, and so are
+    # its four multipliers
+    assert all(abs(m - 1.0) < 1e-9 for m in orbit.multipliers.values)
 
 
 def test_shoot_every_point_is_periodic_at_epsilon_zero(rng):
@@ -71,6 +72,12 @@ def test_find_orbits_unperturbed_limit():
     assert np.max(np.abs(second.initial_state - z2.point)) < 1e-12
     assert (first.branch, second.branch) == (1, 2)
     assert np.linalg.norm(first.initial_state - second.initial_state) > 1e-6
+
+
+@pytest.mark.parametrize("params", NEAR_IDENTITY_MONODROMY_CONFIGS)
+def test_find_orbits_certifies_near_identity_monodromy(params):
+    for orbit in find_bifurcating_orbits(RegimeConfig.make(*params)):
+        assert all(abs(m - 1.0) < 1e-9 for m in orbit.multipliers.values)
 
 
 # ------------------------------------------------------------ gates
@@ -115,7 +122,7 @@ def test_averaged_zeros_continue_into_equilibria_not_cycles():
     for eps in (0.01, 0.02):
         cfg = canonical_config(eps)
         first, _ = averaged_zeros(cfg)
-        u_eq = _equilibrium_near(cfg, first.point)
+        u_eq = _equilibrium_root(cfg, first.point)
         distances.append(np.linalg.norm(u_eq - first.point))
         # it is an exact fixed point of the return map at every period
         T0 = period(cfg).period
@@ -158,7 +165,7 @@ def test_averaged_periodic_solutions_are_the_equilibria_at_period_T0():
     for sol, zero in zip((first, second), averaged_zeros(cfg)):
         assert sol.period == period(cfg).period
         assert sol.frame == "scaled"
-        assert np.max(np.abs(sol.initial_state - _equilibrium_near(cfg, zero.point))) < 1e-9
+        assert np.max(np.abs(sol.initial_state - _equilibrium_root(cfg, zero.point))) < 1e-9
 
 
 @pytest.mark.parametrize("eps", [0.005, 0.01])
@@ -235,7 +242,7 @@ def test_unscaled_unperturbed_orbit_recurs_under_full_field(rng):
     # identity instead: original-frame rows are epsilon times scaled rows
     cfg = canonical_config(0.01)
     first, _ = averaged_zeros(cfg)
-    u_eq = _equilibrium_near(cfg, first.point)
+    u_eq = _equilibrium_root(cfg, first.point)
     pseudo = _fake_orbit(0.01, u_eq)
     scaled = orbit_trajectory(cfg, pseudo, samples=20)
     original = orbit_trajectory(cfg, unscale_orbit(pseudo), samples=20)
