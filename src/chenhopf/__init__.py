@@ -17,7 +17,7 @@ from .chen import (
     random_admissible_config,
 )
 from .averaging import AveragedZero, StabilityVerdict
-from .integrators import IntegrationError, IntegratorConfig, Trajectory
+from .integrators import IntegrationError, Trajectory
 from .linear_flow import LinearSpectralData
 from .numerics import NewtonReport, QuarticSpectrum
 from .orbits import PeriodicOrbit, ShootingError, SweepResult, SweepRow
@@ -34,7 +34,6 @@ __all__ = [
     "AveragedZero",
     "StabilityVerdict",
     "IntegrationError",
-    "IntegratorConfig",
     "Trajectory",
     "LinearSpectralData",
     "NewtonReport",

@@ -205,8 +205,6 @@ def refine_zero(
     seed,
     use_quadrature: bool = False,
     tol: float = 1e-13,
-    max_iter: int = 40,
-    nodes: int = 64,
 ) -> tuple[AveragedZero, NewtonReport]:
     """Newton-refine a zero of the bifurcation function from a seed.
 
@@ -218,10 +216,10 @@ def refine_zero(
     """
     _require_elliptic(config)
     if use_quadrature:
-        residual = lambda v: bifurcation_function_quadrature(config, v, nodes)
+        residual = lambda v: bifurcation_function_quadrature(config, v)
     else:
         residual = lambda v: bifurcation_function(config, v)
-    report = newton_solve(residual, np.asarray(seed, dtype=float), tol=tol, max_iter=max_iter)
+    report = newton_solve(residual, np.asarray(seed, dtype=float), tol=tol, max_iter=40)
     jac = finite_difference_jacobian(residual, report.root, step=_DIAG_FD_STEP)
     det = float(determinant(jac))
     zero = _diagnose(config, report.root, report.residual_norm, det, eig4(jac))

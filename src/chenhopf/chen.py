@@ -249,29 +249,16 @@ def standard_form_jacobian(config: RegimeConfig, state) -> np.ndarray:
     ])
 
 
-def linear_part_matrix(config: RegimeConfig) -> np.ndarray:
-    """Constant matrix of the standard form's linear part."""
-    a, d = config.params.a, config.params.d
-    return np.array([
-        [-a, a, 0.0, 1.0],
-        [d, a, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 0.0],
-    ])
+def random_admissible_config(rng: np.random.Generator) -> RegimeConfig:
+    """Draw parameters satisfying every zero-Hopf hypothesis, at epsilon = 0.
 
-
-def random_admissible_config(
-    rng: np.random.Generator, epsilon: float = 0.0,
-    low: float = 0.5, high: float = 1.6,
-) -> RegimeConfig:
-    """Draw parameters satisfying every zero-Hopf hypothesis.
-
-    Magnitudes stay in [low, high], which keeps the draws bounded away from
-    the hypothesis boundaries (|a(a+d)| >= low^2, |b(a+d)r| >= low^3).
+    Magnitudes stay in [0.5, 1.6], which keeps the draws bounded away from
+    the hypothesis boundaries (|a(a+d)| >= 0.25, |b(a+d)r| >= 0.125).
     """
+    low, high = 0.5, 1.6
     a = rng.uniform(low, high) * rng.choice([-1.0, 1.0])
     s = -math.copysign(rng.uniform(low, high), a)   # s = a + d, opposite sign to a
     d = s - a
     b = rng.uniform(low, high) * rng.choice([-1.0, 1.0])
     r = -math.copysign(rng.uniform(low, high), b * s)  # force b*(a+d)*r < 0
-    return RegimeConfig.make(a=a, b=b, d=d, r=r, epsilon=epsilon)
+    return RegimeConfig.make(a=a, b=b, d=d, r=r)

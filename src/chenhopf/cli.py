@@ -93,11 +93,8 @@ def _params(args) -> ChenParams:
 
 
 def _config(args, epsilon: float | None = None) -> RegimeConfig:
-    p = _params(args)
-    if p.c != p.a:
-        raise RegimeError(f"this command requires c == a, got c={p.c}, a={p.a}")
     eps = getattr(args, "epsilon", 0.0) if epsilon is None else epsilon
-    return RegimeConfig(p, eps)
+    return RegimeConfig(_params(args), eps)
 
 
 def _cnum(z: complex) -> dict:
@@ -295,12 +292,9 @@ def _cmd_verify(args) -> int:
 
 def _parse_epsilons(text: str) -> list[float]:
     try:
-        eps = [float(v) for v in text.split(",")]
+        return [float(v) for v in text.split(",")]
     except ValueError as exc:
         raise ValueError(f"cannot parse epsilons {text!r}: {exc}") from exc
-    if not eps:
-        raise ValueError("need at least one epsilon")
-    return eps
 
 
 _SWEEP_COLUMNS = ["epsilon", "branch", "distance_to_p", "period_error",

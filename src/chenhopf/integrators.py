@@ -1,14 +1,13 @@
 """Time integration for the perturbed system and its variational equations.
 
-A hand-rolled Dormand-Prince 5(4) pair with PI step-size control and the
-standard quartic dense-output interpolant, plus a fixed-step classical RK4
-for order checks. The shooting layer needs ~1e-12 endpoint accuracy over one
-period, which the embedded pair reaches cheaply; RK4 would need wastefully
-small steps.
+One stepper: a hand-rolled Dormand-Prince 5(4) pair with PI step-size
+control and the standard quartic dense-output interpolant (Hairer, Norsett &
+Wanner, Solving ODEs I, II.4-II.5). The shooting layer needs ~1e-12 endpoint
+accuracy over one period, which the embedded pair reaches cheaply at the
+fixed tolerances below.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -16,6 +15,11 @@ import numpy as np
 
 #: state blow-up guard; the full system can diverge from bad seeds
 BLOWUP_NORM = 1e12
+#: per-step error tolerances: absolute, and relative to the state's max norm
+ABS_TOL = 1e-12
+REL_TOL = 1e-10
+#: default step budget of one integration
+MAX_STEPS = 10_000_000
 
 _SAFETY = 0.9
 _FAC_MIN, _FAC_MAX = 0.2, 5.0
@@ -59,25 +63,6 @@ class IntegrationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class IntegratorConfig:
-    """Method selection and accuracy knobs."""
-
-    method: str = "adaptive_rk45"
-    step: float = 1e-3            # fixed_rk4 only
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_steps: int = 10_000_000
-
-    def __post_init__(self):
-        if self.method not in ("adaptive_rk45", "fixed_rk4"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.step <= 0 or self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("step and tolerances must be positive")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Sampled solution: strictly increasing times starting at 0."""
 
@@ -101,7 +86,7 @@ def _adaptive_rk45(
     field: Callable[[np.ndarray], np.ndarray],
     u0: np.ndarray,
     t_end: float,
-    config: IntegratorConfig,
+    max_steps: int,
     sample_times: np.ndarray | None,
 ):
     """Core stepper; returns (final_state, samples or None)."""
@@ -122,7 +107,7 @@ def _adaptive_rk45(
     k = np.empty((7, y.size))
     k[0] = f0
     err_prev = 1.0
-    for _ in range(config.max_steps):
+    for _ in range(max_steps):
         if t >= t_end:
             break
         h = min(h, t_end - t)
@@ -134,7 +119,7 @@ def _adaptive_rk45(
         err_vec = h * (_ERR @ k)
         if not (np.all(np.isfinite(y_new)) and np.all(np.isfinite(err_vec))):
             _guard(t + h, y_new, t, y)
-        scale = config.abs_tol + config.rel_tol * max(
+        scale = ABS_TOL + REL_TOL * max(
             float(np.max(np.abs(y))), float(np.max(np.abs(y_new)))
         )
         err = float(np.max(np.abs(err_vec))) / scale
@@ -158,88 +143,39 @@ def _adaptive_rk45(
             h *= max(_FAC_MIN, min(1.0, _SAFETY * err ** (-0.2)))
     else:
         raise IntegrationError(
-            f"exceeded max_steps = {config.max_steps} before t_end", t, y
+            f"exceeded max_steps = {max_steps} before t_end", t, y
         )
     if samples is not None:
         while next_sample < len(sample_times):
             samples[next_sample] = y
             next_sample += 1
     return y, samples
-
-
-def _fixed_rk4(
-    field: Callable[[np.ndarray], np.ndarray],
-    u0: np.ndarray,
-    t_end: float,
-    config: IntegratorConfig,
-    sample_times: np.ndarray | None,
-):
-    n_steps = max(1, math.ceil(t_end / config.step))
-    if sample_times is not None and len(sample_times) > 1:
-        # land exactly on the (equispaced) sample times
-        blocks = len(sample_times) - 1
-        n_steps = blocks * max(1, math.ceil(n_steps / blocks))
-    h = t_end / n_steps
-    if n_steps > config.max_steps:
-        raise IntegrationError(
-            f"fixed grid needs {n_steps} steps > max_steps", 0.0, np.asarray(u0)
-        )
-    y = np.array(u0, dtype=float)
-    samples = None
-    next_sample = 0
-    if sample_times is not None:
-        samples = np.empty((len(sample_times), y.size))
-        while next_sample < len(sample_times) and sample_times[next_sample] <= 0.0:
-            samples[next_sample] = y
-            next_sample += 1
-    t = 0.0
-    for i in range(n_steps):
-        k1 = field(y)
-        k2 = field(y + 0.5 * h * k1)
-        k3 = field(y + 0.5 * h * k2)
-        k4 = field(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = (i + 1) * h
-        _guard(t, y, t - h, y)
-        if samples is not None:
-            while next_sample < len(sample_times) and sample_times[next_sample] <= t + 1e-12 * t_end:
-                samples[next_sample] = y
-                next_sample += 1
-    if samples is not None:
-        while next_sample < len(sample_times):
-            samples[next_sample] = y
-            next_sample += 1
-    return y, samples
-
-
-def _run(field, u0, t_end, config, sample_times):
-    if config.method == "adaptive_rk45":
-        return _adaptive_rk45(field, u0, t_end, config, sample_times)
-    return _fixed_rk4(field, u0, t_end, config, sample_times)
 
 
 def integrate(
     field: Callable[[np.ndarray], np.ndarray],
     u0,
     t_end: float,
-    config: IntegratorConfig | None = None,
     sample_count: int = 2,
+    max_steps: int = MAX_STEPS,
 ) -> Trajectory:
     """Integrate an autonomous field, sampling sample_count equispaced times.
 
     Samples span [0, t_end] inclusive; the first is the initial state and the
-    last is set to the computed endpoint.
+    last is set to the computed endpoint. More than max_steps step attempts
+    raise IntegrationError.
     """
     if t_end <= 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
     if sample_count < 2:
         raise ValueError(f"sample_count must be >= 2, got {sample_count}")
-    config = config or IntegratorConfig()
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     u0 = np.asarray(u0, dtype=float)
     if not np.all(np.isfinite(u0)):
         raise ValueError("initial state must be finite")
     sample_times = np.linspace(0.0, t_end, sample_count)
-    final, samples = _run(field, u0, t_end, config, sample_times)
+    final, samples = _adaptive_rk45(field, u0, t_end, max_steps, sample_times)
     samples[-1] = final
     return Trajectory(times=sample_times, states=samples)
 
@@ -249,7 +185,7 @@ def integrate_with_variational(
     field_jacobian: Callable[[np.ndarray], np.ndarray],
     u0,
     t_end: float,
-    config: IntegratorConfig | None = None,
+    max_steps: int = MAX_STEPS,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Flow endpoint and the derivative of the flow map w.r.t. u0.
 
@@ -259,7 +195,8 @@ def integrate_with_variational(
     """
     if t_end <= 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
-    config = config or IntegratorConfig()
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     u0 = np.asarray(u0, dtype=float)
     n = u0.size
 
@@ -268,5 +205,5 @@ def integrate_with_variational(
         return np.concatenate([field(state), (field_jacobian(state) @ mat).ravel()])
 
     y0 = np.concatenate([u0, np.eye(n).ravel()])
-    final, _ = _run(augmented, y0, t_end, config, None)
+    final, _ = _adaptive_rk45(augmented, y0, t_end, max_steps, None)
     return final[:n], final[n:].reshape(n, n)

@@ -47,7 +47,7 @@ from .chen import (
     standard_form_jacobian,
     vector_field_full,
 )
-from .integrators import IntegrationError, IntegratorConfig, Trajectory, integrate, integrate_with_variational
+from .integrators import MAX_STEPS, IntegrationError, Trajectory, integrate, integrate_with_variational
 from .linear_flow import period
 from .numerics import EigenSolveError, NewtonReport, QuarticSpectrum, SingularMatrixError, eig4, newton_solve
 
@@ -66,6 +66,11 @@ _PENALTY = 1e6
 #: epsilon = 0.005). It sits an order above the one-period integration
 #: floor near the solutions, about 1e-12.
 _FIXED_PERIOD_TOL = 1e-11
+#: closure tolerance of the limit-cycle Newton. It sits above the one-period
+#: integration error so that an exactly periodic seed (the epsilon = 0 case,
+#: whose shooting Jacobian is singular) converges before any Newton step is
+#: attempted.
+_SHOOT_TOL = 3e-10
 
 
 class ShootingError(RuntimeError):
@@ -115,22 +120,18 @@ def shoot(
     seed_state,
     seed_period: float,
     branch: int = 0,
-    integrator: IntegratorConfig | None = None,
-    newton_tol: float = 3e-10,
     max_iter: int = 20,
+    max_steps: int = MAX_STEPS,
 ) -> PeriodicOrbit:
     """Newton-shoot a periodic orbit of the standard-form system.
 
-    newton_tol must sit above the one-period integration error so that an
-    exactly periodic seed (the epsilon = 0 case, whose shooting Jacobian is
-    singular) converges before any Newton step is attempted.
+    max_steps bounds each integration of the residual and the Jacobian.
 
     Raises ShootingError when Newton does not converge or the certificate
     gates fail; integration blow-up propagates as IntegrationError.
     """
     if seed_period <= 0:
         raise ValueError(f"seed_period must be positive, got {seed_period}")
-    integrator = integrator or IntegratorConfig()
     seed = np.asarray(seed_state, dtype=float)
     anchor = standard_form_field(config, seed)
     field = lambda s: standard_form_field(config, s)
@@ -141,12 +142,12 @@ def shoot(
         u, T = v[:4], v[4]
         if not (t_lo <= T <= t_hi):
             return np.full(5, _PENALTY * (1.0 + abs(T)))
-        end = integrate(field, u, T, integrator).states[-1]
+        end = integrate(field, u, T, max_steps=max_steps).states[-1]
         return np.append(end - u, (u - seed) @ anchor)
 
     def jacobian(v: np.ndarray) -> np.ndarray:
         u, T = v[:4], v[4]
-        end, mono = integrate_with_variational(field, jac, u, T, integrator)
+        end, mono = integrate_with_variational(field, jac, u, T, max_steps)
         out = np.zeros((5, 5))
         out[:4, :4] = mono - np.eye(4)
         out[:4, 4] = field(end)
@@ -156,7 +157,7 @@ def shoot(
     try:
         report = newton_solve(
             residual, np.append(seed, seed_period),
-            jacobian=jacobian, tol=newton_tol, max_iter=max_iter,
+            jacobian=jacobian, tol=_SHOOT_TOL, max_iter=max_iter,
         )
     except SingularMatrixError as exc:
         raise ShootingError(f"singular shooting Jacobian: {exc}") from exc
@@ -171,7 +172,7 @@ def shoot(
             f"residual {report.residual_norm:.3e} above acceptance gate {RESIDUAL_GATE:.0e}",
             report=report,
         )
-    multipliers = floquet_multipliers(config, u_star, t_star, integrator)
+    multipliers = floquet_multipliers(config, u_star, t_star)
     orbit = PeriodicOrbit(
         epsilon=config.epsilon,
         initial_state=u_star,
@@ -191,13 +192,11 @@ def shoot(
     return orbit
 
 
-def floquet_multipliers(
-    config: RegimeConfig, state, duration: float, integrator: IntegratorConfig | None = None
-) -> QuarticSpectrum:
+def floquet_multipliers(config: RegimeConfig, state, duration: float) -> QuarticSpectrum:
     """Certified eigenvalues of the monodromy matrix over duration from state."""
     _, mono = integrate_with_variational(
         lambda s: standard_form_field(config, s), lambda s: standard_form_jacobian(config, s),
-        state, duration, integrator or IntegratorConfig(),
+        state, duration,
     )
     return eig4(mono)
 
@@ -233,9 +232,7 @@ def _solve_both_branches(config: RegimeConfig, solve) -> tuple[PeriodicOrbit, Pe
     return orbits[0], orbits[1]
 
 
-def find_bifurcating_orbits(
-    config: RegimeConfig, integrator: IntegratorConfig | None = None
-) -> tuple[PeriodicOrbit, PeriodicOrbit]:
+def find_bifurcating_orbits(config: RegimeConfig) -> tuple[PeriodicOrbit, PeriodicOrbit]:
     """Shoot both orbits seeded at the averaged zeros.
 
     At epsilon = 0 the seeds are already periodic points of the isochronous
@@ -243,19 +240,18 @@ def find_bifurcating_orbits(
     """
     return _solve_both_branches(
         config,
-        lambda seed, t0, branch: shoot(config, seed, t0, branch=branch, integrator=integrator),
+        lambda seed, t0, branch: shoot(config, seed, t0, branch=branch),
     )
 
 
 def _fixed_period_solution(config: RegimeConfig, seed, t0: float, branch: int) -> PeriodicOrbit:
-    integrator = IntegratorConfig()
     field = lambda s: standard_form_field(config, s)
     jac = lambda s: standard_form_jacobian(config, s)
     try:
         report = newton_solve(
-            lambda u: integrate(field, u, t0, integrator).states[-1] - u,
+            lambda u: integrate(field, u, t0).states[-1] - u,
             seed,
-            jacobian=lambda u: integrate_with_variational(field, jac, u, t0, integrator)[1] - np.eye(4),
+            jacobian=lambda u: integrate_with_variational(field, jac, u, t0)[1] - np.eye(4),
             tol=_FIXED_PERIOD_TOL,
         )
     except SingularMatrixError as exc:
@@ -266,7 +262,7 @@ def _fixed_period_solution(config: RegimeConfig, seed, t0: float, branch: int) -
             report=report,
         )
     try:
-        multipliers = floquet_multipliers(config, report.root, t0, integrator)
+        multipliers = floquet_multipliers(config, report.root, t0)
     except EigenSolveError as exc:
         raise ShootingError(f"multipliers not certified: {exc}", report=report) from exc
     orbit = PeriodicOrbit(
@@ -312,11 +308,7 @@ def equilibrium_near(config: RegimeConfig, point) -> NewtonReport:
                         jacobian=lambda u: standard_form_jacobian(config, u), tol=1e-13)
 
 
-def continuation_sweep(
-    config: RegimeConfig,
-    epsilons,
-    integrator: IntegratorConfig | None = None,
-) -> SweepResult:
+def continuation_sweep(config: RegimeConfig, epsilons) -> SweepResult:
     """Shoot both branches over an ascending epsilon grid.
 
     Each epsilon re-seeds from the previous converged orbit of its branch
@@ -344,7 +336,7 @@ def continuation_sweep(
         for eps in eps_list:
             cfg = config.with_epsilon(eps)
             try:
-                orbit = shoot(cfg, seed_u, seed_t, branch=branch, integrator=integrator)
+                orbit = shoot(cfg, seed_u, seed_t, branch=branch)
             except (ShootingError, IntegrationError):
                 branch_rows.append(SweepRow(
                     epsilon=eps, branch=branch, distance_to_p=None,
@@ -391,12 +383,7 @@ def unscale_orbit(orbit: PeriodicOrbit) -> PeriodicOrbit:
     )
 
 
-def orbit_trajectory(
-    config: RegimeConfig,
-    orbit: PeriodicOrbit,
-    samples: int,
-    integrator: IntegratorConfig | None = None,
-) -> Trajectory:
+def orbit_trajectory(config: RegimeConfig, orbit: PeriodicOrbit, samples: int) -> Trajectory:
     """Sample one full period of an orbit, respecting its frame."""
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
@@ -409,21 +396,14 @@ def orbit_trajectory(
     else:
         scaled_start = orbit.initial_state
     traj = integrate(
-        lambda s: standard_form_field(config, s),
-        scaled_start, orbit.period, integrator or IntegratorConfig(),
-        sample_count=samples,
+        lambda s: standard_form_field(config, s), scaled_start, orbit.period, sample_count=samples,
     )
     if orbit.frame == "original":
         return Trajectory(times=traj.times, states=orbit.epsilon * traj.states)
     return traj
 
 
-def recurrence_defect(
-    config: RegimeConfig,
-    orbit: PeriodicOrbit,
-    periods: int = 1,
-    integrator: IntegratorConfig | None = None,
-) -> float:
+def recurrence_defect(config: RegimeConfig, orbit: PeriodicOrbit, periods: int = 1) -> float:
     """Fresh-integration closure check over a number of periods.
 
     Original-frame orbits are integrated under the full field with the
@@ -437,8 +417,5 @@ def recurrence_defect(
         field = lambda s: vector_field_full(full, s)
     else:
         field = lambda s: standard_form_field(config, s)
-    end = integrate(
-        field, orbit.initial_state, periods * orbit.period,
-        integrator or IntegratorConfig(),
-    ).states[-1]
+    end = integrate(field, orbit.initial_state, periods * orbit.period).states[-1]
     return float(np.max(np.abs(end - orbit.initial_state)))

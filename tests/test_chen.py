@@ -10,7 +10,6 @@ from chenhopf.chen import (
     canonical_config,
     check_zero_hopf_conditions,
     jacobian_full,
-    linear_part_matrix,
     omega,
     origin_char_poly,
     origin_eigenvalues,
@@ -290,12 +289,3 @@ def test_standard_form_jacobian_matches_finite_differences(rng):
         s = rng.uniform(-2, 2, 4)
         fd = finite_difference_jacobian(lambda v: standard_form_field(cfg, v), s)
         assert np.max(np.abs(standard_form_jacobian(cfg, s) - fd)) < 1e-6
-
-
-def test_linear_part_matrix_multiplies_states(rng):
-    cfg = canonical_config(0.7)
-    mat = linear_part_matrix(cfg)
-    for _ in range(10):
-        s = rng.uniform(-2, 2, 4)
-        lin, _ = split_standard_form(cfg, s)
-        assert np.allclose(mat @ s, lin, atol=1e-14)

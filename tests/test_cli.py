@@ -92,6 +92,12 @@ def test_favg_inadmissible_regime_exits_1(capsys):
     assert code == 1
 
 
+def test_favg_c_not_equal_a_exits_1(capsys):
+    code, _, err = run(capsys, "favg", "--c", "0", "--point", "0,0,1,0")
+    assert code == 1
+    assert "c == a" in err
+
+
 # ------------------------------------------------------------ zeros
 
 def test_zeros_canonical_payload(capsys):

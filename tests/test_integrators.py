@@ -3,8 +3,9 @@ import pytest
 
 from chenhopf.chen import canonical_config, random_admissible_config, split_standard_form, standard_form_field, standard_form_jacobian
 from chenhopf.integrators import (
+    ABS_TOL,
+    REL_TOL,
     IntegrationError,
-    IntegratorConfig,
     integrate,
     integrate_with_variational,
 )
@@ -39,25 +40,10 @@ def test_adaptive_error_stays_within_tolerance_budget(rng):
         cfg = random_admissible_config(rng)
         u = rng.uniform(-2, 2, 4)
         data = period(cfg)
-        conf = IntegratorConfig()
-        end = integrate(_linear_part_field(cfg), u, data.period, conf).states[-1]
+        end = integrate(_linear_part_field(cfg), u, data.period).states[-1]
         exact = flow(cfg, u, data.period)
-        budget = 10 * (conf.abs_tol + conf.rel_tol * np.max(np.abs(u)))
+        budget = 10 * (ABS_TOL + REL_TOL * np.max(np.abs(u)))
         assert np.max(np.abs(end - exact)) <= budget
-
-
-def test_fixed_rk4_is_fourth_order():
-    cfg = canonical_config()
-    u = np.array([1.0, 0.5, -0.2, 0.3])
-    t_end = 2.0
-    exact = flow(cfg, u, t_end)
-    errors = []
-    for step in (0.1, 0.05, 0.025, 0.0125):
-        conf = IntegratorConfig(method="fixed_rk4", step=step)
-        end = integrate(_linear_part_field(cfg), u, t_end, conf).states[-1]
-        errors.append(np.max(np.abs(end - exact)))
-    for coarse, fine in zip(errors, errors[1:]):
-        assert 12.0 <= coarse / fine <= 20.0
 
 
 def test_time_symmetry_roundtrip(rng):
@@ -82,15 +68,6 @@ def test_sampling_grid_is_inclusive_and_even():
     assert np.allclose(traj.times, [0.0, 0.5, 1.0, 1.5, 2.0])
 
 
-def test_fixed_rk4_lands_on_sample_times():
-    cfg = canonical_config()
-    u = np.array([1.0, 0, 0, 0])
-    conf = IntegratorConfig(method="fixed_rk4", step=0.03)
-    traj = integrate(_linear_part_field(cfg), u, np.pi, conf, sample_count=7)
-    for t, state in zip(traj.times, traj.states):
-        assert np.max(np.abs(state - flow(cfg, u, t))) < 1e-6
-
-
 # ------------------------------------------------------------ failure modes
 
 def test_blowup_raises_with_last_good_state():
@@ -102,9 +79,8 @@ def test_blowup_raises_with_last_good_state():
 
 
 def test_max_steps_exceeded_raises():
-    conf = IntegratorConfig(max_steps=10)
     with pytest.raises(IntegrationError, match="max_steps"):
-        integrate(lambda s: s, np.ones(4), 50.0, conf)
+        integrate(lambda s: s, np.ones(4), 50.0, max_steps=10)
 
 
 def test_input_validation():
@@ -113,11 +89,9 @@ def test_input_validation():
     with pytest.raises(ValueError):
         integrate(lambda s: s, np.ones(4), 1.0, sample_count=1)
     with pytest.raises(ValueError):
-        IntegratorConfig(method="leapfrog")
+        integrate(lambda s: s, np.ones(4), 1.0, max_steps=0)
     with pytest.raises(ValueError):
-        IntegratorConfig(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(max_steps=0)
+        integrate_with_variational(lambda s: s, lambda s: np.eye(4), np.ones(4), 1.0, max_steps=0)
 
 
 # ------------------------------------------------------------ variational

@@ -93,10 +93,22 @@ def test_trapezoid_node_doubling_plateau(rng):
 
 # ------------------------------------------------------------ linear algebra
 
-def test_determinant_matches_numpy(rng):
-    for _ in range(20):
-        a = rng.standard_normal((4, 4))
-        assert abs(determinant(a) - np.linalg.det(a)) < 1e-10 * (1 + abs(np.linalg.det(a)))
+def test_determinant_of_block_triangular_matrix(rng):
+    # independent oracle: a block upper-triangular matrix's determinant is the
+    # product of its diagonal 2x2 blocks' ad - bc
+    def det2(block):
+        return block[0, 0] * block[1, 1] - block[0, 1] * block[1, 0]
+
+    for dtype in (float, complex):
+        for _ in range(20):
+            m = rng.standard_normal((4, 4)).astype(dtype)
+            if dtype is complex:
+                m += 1j * rng.standard_normal((4, 4))
+            m[2:, :2] = 0.0
+            det = determinant(m)
+            assert type(det) is dtype
+            expected = det2(m[:2, :2]) * det2(m[2:, 2:])
+            assert abs(det - expected) < 1e-12 * (1 + np.linalg.norm(m) ** 4)
 
 
 # ------------------------------------------------------------ newton

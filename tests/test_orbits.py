@@ -98,13 +98,10 @@ def test_shoot_far_seed_never_certifies(rng):
     # far from any orbit the outcome is a non-convergence or blow-up report,
     # never a certified orbit; a bounded step budget keeps the divergent
     # trajectories from crawling toward the blow-up guard for minutes
-    from chenhopf.integrators import IntegratorConfig
-
     cfg = canonical_config(0.01)
-    budget = IntegratorConfig(max_steps=200_000)
     with pytest.raises((ShootingError, IntegrationError)):
         shoot(cfg, np.array([10.0, 10.0, 10.0, 10.0]), 2 * np.pi,
-              integrator=budget, max_iter=2)
+              max_iter=2, max_steps=200_000)
 
 
 # ------------------------------------------------- the honest nonexistence
