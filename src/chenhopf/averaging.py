@@ -27,13 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chen import RegimeConfig, RegimeError, split_standard_form
-from .linear_flow import (
-    _require_elliptic,
-    flow,
-    fundamental_matrix_inverse,
-    period,
-)
+from .chen import RegimeConfig, RegimeError, omega, split_standard_form
+from .linear_flow import flow, fundamental_matrix_inverse, period
 from .numerics import (
     NewtonReport,
     QuarticSpectrum,
@@ -75,7 +70,7 @@ class StabilityVerdict:
 
 def bifurcation_function(config: RegimeConfig, u) -> np.ndarray:
     """Closed-form bifurcation function."""
-    _require_elliptic(config)
+    omega(config.params)  # raises RegimeError outside the elliptic regime
     p = config.params
     a, b, d, r = p.a, p.b, p.d, p.r
     ad = a + d
@@ -110,7 +105,6 @@ def bifurcation_function_quadrature(config: RegimeConfig, u, nodes: int = 64) ->
     """
     if nodes < 8:
         raise ValueError(f"need at least 8 quadrature nodes, got {nodes}")
-    _require_elliptic(config)
     u = np.asarray(u, dtype=float)
     T = period(config).period
 
@@ -146,8 +140,6 @@ def jacobian_determinant(config: RegimeConfig) -> float:
     """det Df at the nontrivial zeros, in closed form (same at both)."""
     p = config.params
     a, b, d, r = p.a, p.b, p.d, p.r
-    if d == 0:
-        raise RegimeError("d != 0 required")
     return -b * (a**4 + a**3 * d - d**2) * r**3 / (2 * d**2)
 
 
@@ -157,12 +149,9 @@ def averaged_spectrum(config: RegimeConfig) -> QuarticSpectrum:
     Two eigenvalues (-b +/- sqrt(b(b - 8r)))/2 and a conjugate pair
     (r/2)(1 +/- i*a*Omega/d); their product equals jacobian_determinant.
     """
-    _require_elliptic(config)
     p = config.params
     a, b, d, r = p.a, p.b, p.d, p.r
-    if d == 0:
-        raise RegimeError("d != 0 required")
-    om = math.sqrt(-a * (a + d))
+    om = omega(p)
     disc = cmath.sqrt(complex(b * (b - 8 * r)))
     return QuarticSpectrum.from_iterable([
         (-b + disc) / 2,
@@ -190,7 +179,6 @@ def _diagnose(config: RegimeConfig, point: np.ndarray, residual: float,
 
 def averaged_zeros(config: RegimeConfig) -> tuple[AveragedZero, AveragedZero]:
     """Both nontrivial zeros with closed-form diagnostics attached."""
-    _require_elliptic(config)
     det = jacobian_determinant(config)
     spec = averaged_spectrum(config)
     out = []
@@ -214,7 +202,6 @@ def refine_zero(
     Diagnostics come from the finite-difference Jacobian at the located
     point, not from the closed forms.
     """
-    _require_elliptic(config)
     if use_quadrature:
         residual = lambda v: bifurcation_function_quadrature(config, v)
     else:

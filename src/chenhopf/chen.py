@@ -190,7 +190,10 @@ def check_zero_hopf_conditions(params: ChenParams) -> ConditionReport:
 
 
 def omega(params: ChenParams) -> float:
-    """Angular frequency sqrt(-a(a+d)) of the unperturbed rotation."""
+    """Angular frequency sqrt(-a(a+d)) of the unperturbed rotation.
+
+    The one elliptic-regime check: RegimeError unless a(a+d) < 0 (so a != 0, a+d != 0).
+    """
     rad = -params.a * (params.a + params.d)
     if rad <= 0:
         raise RegimeError(

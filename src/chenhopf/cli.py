@@ -184,6 +184,8 @@ def _parse_point(text: str) -> np.ndarray:
         raise ValueError(f"cannot parse point {text!r}: {exc}") from exc
     if len(vals) != 4:
         raise ValueError(f"point needs 4 comma-separated reals, got {len(vals)}")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"point coordinates must be finite, got {text!r}")
     return np.array(vals)
 
 

@@ -87,10 +87,16 @@ def _adaptive_rk45(
     u0: np.ndarray,
     t_end: float,
     max_steps: int,
-    sample_times: np.ndarray | None,
-):
-    """Core stepper; returns (final_state, samples or None)."""
+    sample_count: int | None,
+) -> tuple[np.ndarray, Trajectory | None]:
+    """Core stepper; returns (final_state, sample_count samples over [0, t_end] or None)."""
+    if not (t_end > 0 and np.isfinite(t_end)):
+        raise ValueError(f"t_end must be finite and positive, got {t_end}")
+    if not max_steps >= 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     y = np.array(u0, dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise ValueError("initial state must be finite")
     t = 0.0
     f0 = np.asarray(field(y), dtype=float)
     _guard(0.0, f0, 0.0, y)
@@ -98,7 +104,8 @@ def _adaptive_rk45(
 
     samples = None
     next_sample = 0
-    if sample_times is not None:
+    if sample_count is not None:
+        sample_times = np.linspace(0.0, t_end, sample_count)
         samples = np.empty((len(sample_times), y.size))
         while next_sample < len(sample_times) and sample_times[next_sample] <= 0.0:
             samples[next_sample] = y
@@ -145,11 +152,12 @@ def _adaptive_rk45(
         raise IntegrationError(
             f"exceeded max_steps = {max_steps} before t_end", t, y
         )
-    if samples is not None:
-        while next_sample < len(sample_times):
-            samples[next_sample] = y
-            next_sample += 1
-    return y, samples
+    if samples is None:
+        return y, None
+    while next_sample < len(sample_times):
+        samples[next_sample] = y
+        next_sample += 1
+    return y, Trajectory(times=sample_times, states=samples)
 
 
 def integrate(
@@ -165,19 +173,11 @@ def integrate(
     last is set to the computed endpoint. More than max_steps step attempts
     raise IntegrationError.
     """
-    if t_end <= 0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
     if sample_count < 2:
         raise ValueError(f"sample_count must be >= 2, got {sample_count}")
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    u0 = np.asarray(u0, dtype=float)
-    if not np.all(np.isfinite(u0)):
-        raise ValueError("initial state must be finite")
-    sample_times = np.linspace(0.0, t_end, sample_count)
-    final, samples = _adaptive_rk45(field, u0, t_end, max_steps, sample_times)
-    samples[-1] = final
-    return Trajectory(times=sample_times, states=samples)
+    final, traj = _adaptive_rk45(field, u0, t_end, max_steps, sample_count)
+    traj.states[-1] = final
+    return traj
 
 
 def integrate_with_variational(
@@ -193,10 +193,6 @@ def integrate_with_variational(
     at t = 0) as one 20-dimensional system; the returned matrix is the
     monodromy matrix when t_end is the orbit period.
     """
-    if t_end <= 0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     u0 = np.asarray(u0, dtype=float)
     n = u0.size
 

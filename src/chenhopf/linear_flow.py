@@ -4,86 +4,47 @@ With the perturbation switched off the standard form reduces to
 
     x' = a(y - x) + w,   y' = d x + a y,   z' = 0,   w' = 0.
 
-For a(a+d) < 0 every solution is periodic with the common period
-2*pi/sqrt(-a(a+d)) (trigonometric branch); for a(a+d) > 0 the solutions are
-hyperbolic. The fundamental matrix is assembled from basis flows rather than
-transcribed, so the hand-written inverse below is validated against an
-independent construction.
+Averaging needs the elliptic regime a(a+d) < 0, where every solution is
+periodic with the common period 2*pi/Omega, Omega = sqrt(-a(a+d)). The regime
+is decided by chen.omega alone; it raises RegimeError otherwise, which also
+covers the degenerate a = 0 and a + d = 0 the formulas below divide by. The
+fundamental matrix is assembled from basis flows rather than transcribed, so
+the hand-written inverse below is validated against an independent
+construction.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
-from .chen import ChenParams, RegimeConfig, RegimeError, omega, origin_eigenvalues
-from .numerics import QuarticSpectrum
-
-FlowBranch = Literal["elliptic", "hyperbolic"]
+from .chen import RegimeConfig, omega
 
 
 @dataclass(frozen=True)
 class LinearSpectralData:
-    """Angular frequency, common period, and the origin spectrum."""
+    """Angular frequency and common period of the unperturbed rotation."""
 
     omega: float
     period: float
-    origin_spectrum: QuarticSpectrum
-
-
-def classify_branch(params: ChenParams) -> FlowBranch:
-    rad = params.a * (params.a + params.d)
-    if rad == 0:
-        raise RegimeError("degenerate regime: a*(a+d) = 0 (need a != 0 and a+d != 0)")
-    return "elliptic" if rad < 0 else "hyperbolic"
-
-
-def _check_nondegenerate(params: ChenParams) -> None:
-    if params.a == 0 or params.a + params.d == 0:
-        raise RegimeError(
-            f"degenerate regime: a = {params.a}, a+d = {params.a + params.d} "
-            "(closed-form flow divides by both)"
-        )
 
 
 def flow(config: RegimeConfig, u, t: float) -> np.ndarray:
-    """Closed-form solution through u after time t.
-
-    z and w are constant on both branches; x and y rotate (elliptic) or
-    follow cosh/sinh profiles (hyperbolic).
-    """
+    """Closed-form solution through u after time t: (x, y) rotate, z and w stay."""
     p = config.params
-    _check_nondegenerate(p)
-    branch = classify_branch(p)
+    om = omega(p)
     x0, y0, z0, w0 = np.asarray(u, dtype=float)
     a, d = p.a, p.d
     ad = a + d
-    if branch == "elliptic":
-        om = omega(p)
-        cos, sin = math.cos(om * t), math.sin(om * t)
-        x = (w0 + (ad * x0 - w0) * cos - (om / a) * (w0 + a * (y0 - x0)) * sin) / ad
-        y = ((d * w0 + a * ad * y0) * cos - d * w0 - om * (d * x0 + a * y0) * sin) / (a * ad)
-    else:
-        mu = math.sqrt(a * ad)
-        cosh, sinh = math.cosh(mu * t), math.sinh(mu * t)
-        x = (w0 + (ad * x0 - w0) * cosh + (mu / a) * (w0 + a * (y0 - x0)) * sinh) / ad
-        y = ((d * w0 + a * ad * y0) * cosh - d * w0 + mu * (d * x0 + a * y0) * sinh) / (a * ad)
+    cos, sin = math.cos(om * t), math.sin(om * t)
+    x = (w0 + (ad * x0 - w0) * cos - (om / a) * (w0 + a * (y0 - x0)) * sin) / ad
+    y = ((d * w0 + a * ad * y0) * cos - d * w0 - om * (d * x0 + a * y0) * sin) / (a * ad)
     return np.array([x, y, z0, w0])
-
-
-def _require_elliptic(config: RegimeConfig) -> None:
-    if classify_branch(config.params) != "elliptic":
-        raise RegimeError(
-            f"elliptic branch required: a*(a+d) = "
-            f"{config.params.a * (config.params.a + config.params.d)} must be negative"
-        )
 
 
 def fundamental_matrix(config: RegimeConfig, t: float) -> np.ndarray:
     """Fundamental matrix with identity at t = 0, assembled from basis flows."""
-    _require_elliptic(config)
     return np.column_stack([flow(config, np.eye(4)[j], t) for j in range(4)])
 
 
@@ -93,11 +54,10 @@ def fundamental_matrix_inverse(config: RegimeConfig, t: float) -> np.ndarray:
     Hand-written entries in cos/sin; cross-checked in the test-suite against
     the numerically inverted fundamental_matrix.
     """
-    _require_elliptic(config)
     p = config.params
+    om = omega(p)
     a, d = p.a, p.d
     ad = a + d
-    om = omega(p)
     cos, sin = math.cos(om * t), math.sin(om * t)
     return np.array([
         [cos + (a / om) * sin, -(a / om) * sin, 0.0, (1 - cos + (om / a) * sin) / ad],
@@ -108,11 +68,6 @@ def fundamental_matrix_inverse(config: RegimeConfig, t: float) -> np.ndarray:
 
 
 def period(config: RegimeConfig) -> LinearSpectralData:
-    """Common period of the elliptic branch plus the origin spectrum."""
-    _require_elliptic(config)
+    """Angular frequency and common period 2*pi/Omega of the rotation."""
     om = omega(config.params)
-    return LinearSpectralData(
-        omega=om,
-        period=2 * math.pi / om,
-        origin_spectrum=origin_eigenvalues(config.params),
-    )
+    return LinearSpectralData(omega=om, period=2 * math.pi / om)

@@ -103,7 +103,7 @@ def periodic_trapezoid(
     trapezoid rule, and it is exact (to roundoff) whenever the integrand is a
     trigonometric polynomial with fewer than `nodes` harmonics.
     """
-    if period <= 0:
+    if not period > 0:
         raise ValueError(f"period must be positive, got {period}")
     if nodes < 4:
         raise ValueError(f"need at least 4 nodes, got {nodes}")
@@ -125,7 +125,7 @@ def finite_difference_jacobian(
     step: float = DEFAULT_FD_STEP,
 ) -> np.ndarray:
     """Central-difference Jacobian, column j stepped by step*max(1, |x_j|)."""
-    if step <= 0:
+    if not step > 0:
         raise ValueError(f"step must be positive, got {step}")
     x = np.asarray(point, dtype=float)
     _require_finite(x, "point")
@@ -158,7 +158,7 @@ def newton_solve(
     Jacobian that numpy cannot factor, or whose condition number exceeds
     1/RCOND_MIN, raises SingularMatrixError.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")

@@ -130,7 +130,7 @@ def shoot(
     Raises ShootingError when Newton does not converge or the certificate
     gates fail; integration blow-up propagates as IntegrationError.
     """
-    if seed_period <= 0:
+    if not seed_period > 0:
         raise ValueError(f"seed_period must be positive, got {seed_period}")
     seed = np.asarray(seed_state, dtype=float)
     anchor = standard_form_field(config, seed)
@@ -319,7 +319,7 @@ def continuation_sweep(config: RegimeConfig, epsilons) -> SweepResult:
     eps_list = [float(e) for e in epsilons]
     if not eps_list:
         raise ValueError("need at least one epsilon")
-    if any(e <= 0 for e in eps_list):
+    if not all(e > 0 for e in eps_list):
         raise ValueError(f"epsilons must be strictly positive, got {eps_list}")
     if any(b <= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError(f"epsilons must be strictly ascending, got {eps_list}")

@@ -3,6 +3,7 @@ import io
 import json
 
 import numpy as np
+import pytest
 
 from chenhopf.cli import main
 
@@ -86,6 +87,15 @@ def test_favg_bad_point_exits_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("method", ["closed", "quadrature", "both"])
+@pytest.mark.parametrize("point", ["nan,0,0,0", "0,0,inf,0", "0,-inf,0,0"])
+def test_favg_nonfinite_point_exits_3(capsys, point, method):
+    code, out, err = run(capsys, "favg", "--point", point, "--method", method, "--json")
+    assert code == 3
+    assert out == ""
+    assert "finite" in err
+
+
 def test_favg_inadmissible_regime_exits_1(capsys):
     # hyperbolic parameters: a(a+d) > 0
     code, _, err = run(capsys, "favg", "--a", "1", "--d", "1", "--point", "0,0,1,0")
@@ -114,6 +124,13 @@ def test_zeros_canonical_payload(capsys):
     second = payload["closed_form"][1]
     assert np.allclose(np.asarray(first["point"])[[0, 1, 3]],
                        -np.asarray(second["point"])[[0, 1, 3]], atol=1e-12)
+
+
+def test_zeros_nan_tol_exits_3(capsys):
+    code, out, err = run(capsys, "zeros", "--tol", "nan")
+    assert code == 3
+    assert out == ""
+    assert "tol" in err
 
 
 def test_zeros_inadmissible_exits_1(capsys):

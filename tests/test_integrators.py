@@ -10,6 +10,8 @@ from chenhopf.integrators import (
     integrate_with_variational,
 )
 from chenhopf.linear_flow import flow, fundamental_matrix, period
+from chenhopf.numerics import finite_difference_jacobian, newton_solve, periodic_trapezoid
+from chenhopf.orbits import continuation_sweep, shoot
 
 
 def _linear_part_field(cfg):
@@ -92,6 +94,38 @@ def test_input_validation():
         integrate(lambda s: s, np.ones(4), 1.0, max_steps=0)
     with pytest.raises(ValueError):
         integrate_with_variational(lambda s: s, lambda s: np.eye(4), np.ones(4), 1.0, max_steps=0)
+
+
+def _never_called(_):
+    raise AssertionError("the guard must reject the input before any evaluation")
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: periodic_trapezoid(_never_called, _NAN, 8), id="trapezoid-period-nan"),
+    pytest.param(lambda: finite_difference_jacobian(_never_called, np.zeros(4), step=_NAN),
+                 id="fd-step-nan"),
+    pytest.param(lambda: newton_solve(_never_called, np.zeros(4), tol=_NAN), id="newton-tol-nan"),
+    pytest.param(lambda: shoot(canonical_config(0.01), np.ones(4), _NAN), id="shoot-period-nan"),
+    pytest.param(lambda: continuation_sweep(canonical_config(), [0.01, _NAN]),
+                 id="sweep-epsilon-nan"),
+    pytest.param(lambda: integrate(_never_called, np.ones(4), _NAN), id="integrate-t_end-nan"),
+    pytest.param(lambda: integrate(_never_called, np.ones(4), _INF), id="integrate-t_end-inf"),
+    pytest.param(lambda: integrate(_never_called, np.ones(4), 1.0, max_steps=_NAN),
+                 id="integrate-max_steps-nan"),
+    pytest.param(lambda: integrate(_never_called, np.array([1.0, _NAN, 0.0, 0.0]), 1.0),
+                 id="integrate-u0-nan"),
+    pytest.param(lambda: integrate_with_variational(_never_called, _never_called, np.ones(4), _NAN),
+                 id="variational-t_end-nan"),
+    pytest.param(lambda: integrate_with_variational(
+        _never_called, _never_called, np.array([_INF, 0.0, 0.0, 0.0]), 1.0),
+                 id="variational-u0-inf"),
+])
+def test_input_guards_reject_non_finite_values(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 # ------------------------------------------------------------ variational

@@ -4,8 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chenhopf.chen import RegimeConfig, RegimeError, canonical_config, split_standard_form
+from chenhopf.averaging import (
+    averaged_spectrum,
+    averaged_zeros,
+    bifurcation_function,
+    bifurcation_function_quadrature,
+    refine_zero,
+)
 from chenhopf.linear_flow import (
-    classify_branch,
     flow,
     fundamental_matrix,
     fundamental_matrix_inverse,
@@ -14,7 +20,7 @@ from chenhopf.linear_flow import (
 
 
 HYPERBOLIC_POS = RegimeConfig.make(a=1.0, b=0.0, d=0.5, r=0.0)    # a > 0, a+d > 0
-HYPERBOLIC_NEG = RegimeConfig.make(a=-1.0, b=0.0, d=-0.5, r=0.0)  # a < 0, a+d < 0
+ELLIPTIC_POS_A = RegimeConfig.make(a=0.7, b=0.0, d=-1.9, r=0.0)   # a > 0, a+d < 0
 
 
 def _ode_residual(cfg, u, t, h=1e-5):
@@ -25,7 +31,7 @@ def _ode_residual(cfg, u, t, h=1e-5):
 
 
 def test_flow_at_zero_is_initial_condition(rng):
-    for cfg in (canonical_config(), HYPERBOLIC_POS, HYPERBOLIC_NEG):
+    for cfg in (canonical_config(), ELLIPTIC_POS_A):
         for _ in range(5):
             u = rng.uniform(-2, 2, 4)
             assert np.allclose(flow(cfg, u, 0.0), u, atol=1e-14)
@@ -49,8 +55,8 @@ def test_flow_is_periodic_on_elliptic_branch(rng):
         assert defect <= 1e-10 * (1 + np.max(np.abs(u)))
 
 
-def test_flow_solves_the_ode_on_both_branches(rng):
-    for cfg in (canonical_config(), HYPERBOLIC_POS, HYPERBOLIC_NEG):
+def test_flow_solves_the_ode(rng):
+    for cfg in (canonical_config(), ELLIPTIC_POS_A):
         for _ in range(10):
             u = rng.uniform(-2, 2, 4)
             t = rng.uniform(0.05, 2.0)
@@ -90,11 +96,34 @@ def test_flow_degenerate_regimes_raise():
         flow(RegimeConfig.make(a=1.0, b=0.0, d=-1.0, r=0.0), np.ones(4), 1.0)
 
 
-def test_classify_branch():
-    assert classify_branch(canonical_config().params) == "elliptic"
-    assert classify_branch(HYPERBOLIC_POS.params) == "hyperbolic"
-    with pytest.raises(RegimeError):
-        classify_branch(RegimeConfig.make(a=1.0, b=0, d=-1.0, r=0).params)
+_OUTSIDE_ELLIPTIC = [
+    pytest.param(HYPERBOLIC_POS, id="a(a+d)>0"),
+    pytest.param(RegimeConfig.make(a=0.0, b=-1.0, d=2.0, r=1.0), id="a=0"),
+    pytest.param(RegimeConfig.make(a=1.0, b=-1.0, d=-1.0, r=1.0), id="a+d=0"),
+]
+_SEED = np.array([0.3, -0.2, 0.5, 0.1])
+_REGIME_CALLS = [
+    pytest.param(lambda cfg: flow(cfg, _SEED, 1.0), id="flow"),
+    pytest.param(lambda cfg: fundamental_matrix(cfg, 1.0), id="fundamental_matrix"),
+    pytest.param(lambda cfg: fundamental_matrix_inverse(cfg, 1.0), id="fundamental_matrix_inverse"),
+    pytest.param(period, id="period"),
+    pytest.param(lambda cfg: bifurcation_function(cfg, _SEED), id="bifurcation_function"),
+    pytest.param(lambda cfg: bifurcation_function_quadrature(cfg, _SEED),
+                 id="bifurcation_function_quadrature"),
+    pytest.param(averaged_spectrum, id="averaged_spectrum"),
+    pytest.param(averaged_zeros, id="averaged_zeros"),
+    pytest.param(lambda cfg: refine_zero(cfg, _SEED), id="refine_zero_closed"),
+    pytest.param(lambda cfg: refine_zero(cfg, _SEED, use_quadrature=True),
+                 id="refine_zero_quadrature"),
+]
+
+
+@pytest.mark.parametrize("call", _REGIME_CALLS)
+@pytest.mark.parametrize("cfg", _OUTSIDE_ELLIPTIC)
+def test_elliptic_regime_is_required_everywhere(cfg, call):
+    """Every closed-form and averaging entry point refuses a(a+d) >= 0 via chen.omega."""
+    with pytest.raises(RegimeError, match=r"elliptic case required: a\*\(a\+d\)"):
+        call(cfg)
 
 
 # ------------------------------------------------------------ fundamental matrix
