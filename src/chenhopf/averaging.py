@@ -116,6 +116,21 @@ def bifurcation_function_quadrature(config: RegimeConfig, u, nodes: int = 64) ->
     return periodic_trapezoid(integrand, T, nodes)
 
 
+def quadrature_gap(config: RegimeConfig, points) -> float:
+    """Worst closed-form vs quadrature gap over the rows of points.
+
+    Each row's max|f_closed - f_quad| is divided by 1 + max|u|^2, the size of
+    the quadratic map's values there.
+    """
+    worst = 0.0
+    for u in np.asarray(points, dtype=float):
+        diff = float(np.max(np.abs(
+            bifurcation_function(config, u) - bifurcation_function_quadrature(config, u)
+        )))
+        worst = max(worst, diff / (1 + float(np.max(np.abs(u))) ** 2))
+    return worst
+
+
 def _zero_points(config: RegimeConfig) -> tuple[np.ndarray, np.ndarray]:
     p = config.params
     a, b, d, r = p.a, p.b, p.d, p.r
@@ -159,6 +174,24 @@ def averaged_spectrum(config: RegimeConfig) -> QuarticSpectrum:
         r / 2 * complex(1, a * om / d),
         r / 2 * complex(1, -a * om / d),
     ])
+
+
+def jacobian_gaps(config: RegimeConfig) -> tuple[float, float]:
+    """Closed-form Jacobian data against central differences at both zeros.
+
+    Returns the worst relative gap of jacobian_determinant and the worst
+    match distance of averaged_spectrum, each against the finite-difference
+    Jacobian at step _DIAG_FD_STEP.
+    """
+    det_closed = jacobian_determinant(config)
+    spec_closed = averaged_spectrum(config)
+    worst_det, worst_spec = 0.0, 0.0
+    for point in _zero_points(config):
+        jac = finite_difference_jacobian(
+            lambda v: bifurcation_function(config, v), point, step=_DIAG_FD_STEP)
+        worst_det = max(worst_det, abs(float(determinant(jac)) - det_closed) / abs(det_closed))
+        worst_spec = max(worst_spec, spec_closed.match_distance(eig4(jac)))
+    return worst_det, worst_spec
 
 
 def _diagnose(config: RegimeConfig, point: np.ndarray, residual: float,

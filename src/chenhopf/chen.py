@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import QuarticSpectrum
+from .numerics import QuarticSpectrum, eig4
 
 
 class RegimeError(ValueError):
@@ -87,18 +87,6 @@ class ConditionReport:
     d_nonzero: bool
     overall: bool
 
-    def failed(self) -> list[str]:
-        out = []
-        if not self.c_equals_a:
-            out.append("c == a")
-        if not self.a_condition_holds:
-            out.append("a*(a+d) < 0")
-        if not self.b_condition_holds:
-            out.append("b*(a+d)*r < 0")
-        if not self.d_nonzero:
-            out.append("d != 0")
-        return out
-
 
 def canonical_config(epsilon: float = 0.0) -> RegimeConfig:
     """The reference admissible parameter set used throughout tests and docs."""
@@ -151,17 +139,27 @@ def origin_char_poly(params: ChenParams) -> np.ndarray:
     return np.polymul(np.polymul(lin1, lin2), quad)
 
 
-def origin_eigenvalues(params: ChenParams) -> QuarticSpectrum:
-    """Eigenvalues of the linearization at the origin, in closed form.
+def origin_quadratic_roots(params: ChenParams) -> tuple[complex, complex]:
+    """Roots ((c - a) + sqrt(D)) / 2 and ((c - a) - sqrt(D)) / 2, D = (a + c)^2 + 4 a d.
 
-    {r, -b, ((c - a) +/- sqrt((a + c)^2 + 4 a d)) / 2}; the square root goes
-    complex when the radicand is negative.
+    They are the origin eigenvalues besides r and -b; the square root goes
+    complex when D is negative.
     """
-    a, b, c, d, r = params.a, params.b, params.c, params.d, params.r
+    a, c, d = params.a, params.c, params.d
     disc = cmath.sqrt((a + c) ** 2 + 4 * a * d)
-    return QuarticSpectrum.from_iterable([
-        complex(r), complex(-b), ((c - a) + disc) / 2, ((c - a) - disc) / 2,
-    ])
+    return ((c - a) + disc) / 2, ((c - a) - disc) / 2
+
+
+def origin_eigenvalues(params: ChenParams) -> QuarticSpectrum:
+    """Eigenvalues {r, -b} plus origin_quadratic_roots, in closed form."""
+    return QuarticSpectrum.from_iterable(
+        [complex(params.r), complex(-params.b), *origin_quadratic_roots(params)]
+    )
+
+
+def origin_spectrum_gap(params: ChenParams) -> float:
+    """Match distance between origin_eigenvalues and eig4 of the origin Jacobian."""
+    return origin_eigenvalues(params).match_distance(eig4(jacobian_full(params, np.zeros(4))))
 
 
 def check_zero_hopf_conditions(params: ChenParams) -> ConditionReport:

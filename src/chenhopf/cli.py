@@ -29,6 +29,8 @@ from .averaging import (
     bifurcation_function,
     bifurcation_function_quadrature,
     jacobian_determinant,
+    jacobian_gaps,
+    quadrature_gap,
     refine_zero,
     stability_verdict,
 )
@@ -36,21 +38,18 @@ from .chen import (
     ChenParams,
     RegimeConfig,
     RegimeError,
+    canonical_config,
     check_zero_hopf_conditions,
     origin_char_poly,
     origin_eigenvalues,
+    origin_quadratic_roots,
+    origin_spectrum_gap,
     jacobian_full,
     random_admissible_config,
 )
 from .integrators import IntegrationError
-from .linear_flow import fundamental_matrix, fundamental_matrix_inverse
-from .numerics import (
-    EigenSolveError,
-    SingularMatrixError,
-    eig4,
-    finite_difference_jacobian,
-    determinant,
-)
+from .linear_flow import inverse_gap
+from .numerics import EigenSolveError, SingularMatrixError, eig4
 from .orbits import (
     ShootingError,
     continuation_sweep,
@@ -155,13 +154,14 @@ def _cmd_spectrum(args) -> int:
     numeric = eig4(jacobian_full(params, np.zeros(4)))
     deviation = closed.match_distance(numeric)
     poly = origin_char_poly(params)
+    lambda3, lambda4 = origin_quadratic_roots(params)
     payload = {
         "manifest": _manifest(args, "spectrum"),
         "closed_form": {
             "lambda1": _cnum(complex(params.r)),
             "lambda2": _cnum(complex(-params.b)),
-            "lambda3": _cnum(closed.values[0]),
-            "lambda4": _cnum(closed.values[-1]),
+            "lambda3": _cnum(lambda3),
+            "lambda4": _cnum(lambda4),
             "ordered": [_cnum(v) for v in closed.values],
         },
         "numeric": [_cnum(v) for v in numeric.values],
@@ -366,48 +366,18 @@ def _cmd_orbit(args) -> int:
 
 def _selftest_checks(args):
     rng = np.random.default_rng(args.seed)
-    configs = [("canonical", RegimeConfig(ChenParams(-1.0, -1.0, -1.0, 2.0, 1.0), 0.0))]
-    configs += [(f"random{i}", random_admissible_config(rng)) for i in range(5)]
-    checks = []
-
-    worst = 0.0
-    for _, cfg in configs:
-        for _ in range(25):
-            u = rng.uniform(-2, 2, 4)
-            diff = float(np.max(np.abs(
-                bifurcation_function(cfg, u)
-                - bifurcation_function_quadrature(cfg, u)
-            )))
-            worst = max(worst, diff / (1 + float(np.max(np.abs(u))) ** 2))
-    checks.append(("averaged function: closed vs quadrature", worst, 1e-10))
-
-    worst = 0.0
-    for _, cfg in configs:
-        for _ in range(5):
-            t = rng.uniform(0, 10)
-            prod = fundamental_matrix(cfg, t) @ fundamental_matrix_inverse(cfg, t)
-            worst = max(worst, float(np.max(np.abs(prod - np.eye(4)))))
-    checks.append(("fundamental matrix times inverse vs identity", worst, 1e-9))
-
-    worst = 0.0
-    for _, cfg in configs:
-        closed = origin_eigenvalues(cfg.params)
-        numeric = eig4(jacobian_full(cfg.params, np.zeros(4)))
-        worst = max(worst, closed.match_distance(numeric))
-    checks.append(("origin spectrum: closed vs numeric", worst, 1e-8))
-
-    worst_det, worst_spec = 0.0, 0.0
-    for _, cfg in configs:
-        det_closed = jacobian_determinant(cfg)
-        spec_closed = averaged_spectrum(cfg)
-        for zero in averaged_zeros(cfg):
-            jac = finite_difference_jacobian(
-                lambda v: bifurcation_function(cfg, v), zero.point, step=1e-3)
-            worst_det = max(worst_det, abs(float(determinant(jac)) - det_closed) / abs(det_closed))
-            worst_spec = max(worst_spec, spec_closed.match_distance(eig4(jac)))
-    checks.append(("averaged det: closed vs finite differences", worst_det, 1e-5))
-    checks.append(("averaged spectrum: closed vs finite differences", worst_spec, 1e-5))
-
+    configs = [canonical_config()] + [random_admissible_config(rng) for _ in range(5)]
+    quad = max(quadrature_gap(cfg, rng.uniform(-2, 2, (25, 4))) for cfg in configs)
+    inverse = max(inverse_gap(cfg, t) for cfg in configs for t in rng.uniform(0, 10, 5))
+    origin = max(origin_spectrum_gap(cfg.params) for cfg in configs)
+    det, spec = np.max([jacobian_gaps(cfg) for cfg in configs], axis=0)
+    checks = [
+        ("averaged function: closed vs quadrature", quad, 1e-10),
+        ("fundamental matrix times inverse vs identity", inverse, 1e-9),
+        ("origin spectrum: closed vs numeric", origin, 1e-8),
+        ("averaged det: closed vs finite differences", det, 1e-5),
+        ("averaged spectrum: closed vs finite differences", spec, 1e-5),
+    ]
     if args.force_fail:
         checks.append(("forced failure (harness check)", 1.0, 0.0))
     return checks

@@ -67,6 +67,12 @@ def fundamental_matrix_inverse(config: RegimeConfig, t: float) -> np.ndarray:
     ])
 
 
+def inverse_gap(config: RegimeConfig, t: float) -> float:
+    """max|Phi(t) Phi(t)^{-1} - I|: fundamental_matrix against fundamental_matrix_inverse."""
+    prod = fundamental_matrix(config, t) @ fundamental_matrix_inverse(config, t)
+    return float(np.max(np.abs(prod - np.eye(4))))
+
+
 def period(config: RegimeConfig) -> LinearSpectralData:
     """Angular frequency and common period 2*pi/Omega of the rotation."""
     om = omega(config.params)

@@ -41,8 +41,6 @@ from .averaging import averaged_zeros
 from .chen import (
     ChenParams,
     RegimeConfig,
-    RegimeError,
-    check_zero_hopf_conditions,
     standard_form_field,
     standard_form_jacobian,
     vector_field_full,
@@ -127,8 +125,9 @@ def shoot(
 
     max_steps bounds each integration of the residual and the Jacobian.
 
-    Raises ShootingError when Newton does not converge or the certificate
-    gates fail; integration blow-up propagates as IntegrationError.
+    Raises ShootingError when Newton does not converge, the multipliers are
+    not certified or the certificate gates fail; integration blow-up
+    propagates as IntegrationError.
     """
     if not seed_period > 0:
         raise ValueError(f"seed_period must be positive, got {seed_period}")
@@ -172,7 +171,10 @@ def shoot(
             f"residual {report.residual_norm:.3e} above acceptance gate {RESIDUAL_GATE:.0e}",
             report=report,
         )
-    multipliers = floquet_multipliers(config, u_star, t_star)
+    try:
+        multipliers = floquet_multipliers(config, u_star, t_star)
+    except EigenSolveError as exc:
+        raise ShootingError(f"multipliers not certified: {exc}", report=report) from exc
     orbit = PeriodicOrbit(
         epsilon=config.epsilon,
         initial_state=u_star,
@@ -201,17 +203,8 @@ def floquet_multipliers(config: RegimeConfig, state, duration: float) -> Quartic
     return eig4(mono)
 
 
-def _require_admissible(config: RegimeConfig) -> None:
-    report = check_zero_hopf_conditions(config.params)
-    if not report.overall:
-        raise RegimeError(
-            "zero-Hopf hypotheses violated: " + "; ".join(report.failed())
-        )
-
-
 def _solve_both_branches(config: RegimeConfig, solve) -> tuple[PeriodicOrbit, PeriodicOrbit]:
     """Run solve(seed, t0, branch) from each averaged zero; require distinct results."""
-    _require_admissible(config)
     zeros = averaged_zeros(config)
     t0 = period(config).period
     orbits = []
@@ -323,7 +316,6 @@ def continuation_sweep(config: RegimeConfig, epsilons) -> SweepResult:
         raise ValueError(f"epsilons must be strictly positive, got {eps_list}")
     if any(b <= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError(f"epsilons must be strictly ascending, got {eps_list}")
-    _require_admissible(config)
     zeros = averaged_zeros(config)
     t0 = period(config).period
 

@@ -23,9 +23,9 @@ import pytest
 from chenhopf.averaging import (
     averaged_spectrum,
     averaged_zeros,
-    bifurcation_function,
-    bifurcation_function_quadrature,
     jacobian_determinant,
+    jacobian_gaps,
+    quadrature_gap,
     refine_zero,
     stability_verdict,
 )
@@ -35,24 +35,14 @@ from chenhopf.chen import (
     canonical_config,
     jacobian_full,
     origin_char_poly,
-    origin_eigenvalues,
+    origin_spectrum_gap,
     random_admissible_config,
     standard_form_field,
 )
 from chenhopf.integrators import integrate
 from chenhopf.chen import split_standard_form
-from chenhopf.linear_flow import (
-    flow,
-    fundamental_matrix,
-    fundamental_matrix_inverse,
-    period,
-)
-from chenhopf.numerics import (
-    QuarticSpectrum,
-    determinant,
-    eig4,
-    finite_difference_jacobian,
-)
+from chenhopf.linear_flow import flow, inverse_gap, period
+from chenhopf.numerics import QuarticSpectrum, determinant
 from chenhopf.orbits import ShootingError, averaged_periodic_solutions, recurrence_defect, unscale_orbit
 
 EPS_GRID = [0.005, 0.01, 0.02, 0.04]
@@ -70,15 +60,7 @@ def test_criterion_1_closed_vs_quadrature_bifurcation_function():
     configs = [canonical_config(),
                RegimeConfig.make(a=-1.0, b=1.0, d=2.0, r=1.0)]
     configs += [random_admissible_config(rng) for _ in range(10)]
-    worst = 0.0
-    for cfg in configs:
-        for _ in range(200):
-            u = rng.uniform(-2, 2, 4)
-            diff = float(np.max(np.abs(
-                bifurcation_function(cfg, u)
-                - bifurcation_function_quadrature(cfg, u)
-            )))
-            worst = max(worst, diff / (1 + float(np.max(np.abs(u))) ** 2))
+    worst = max(quadrature_gap(cfg, rng.uniform(-2, 2, (200, 4))) for cfg in configs)
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-10 and elapsed < 10.0
     _report(1, ok, f"closed-vs-quadrature worst scaled diff {worst:.2e} "
@@ -130,16 +112,7 @@ def test_criterion_2_averaged_zeros_and_canonical_values():
 def test_criterion_3_determinant_and_spectrum_oracles():
     rng = np.random.default_rng(3)
     configs = [canonical_config()] + [random_admissible_config(rng) for _ in range(5)]
-    worst_det, worst_spec = 0.0, 0.0
-    for cfg in configs:
-        det_closed = jacobian_determinant(cfg)
-        spec_closed = averaged_spectrum(cfg)
-        for zero in averaged_zeros(cfg):
-            jac = finite_difference_jacobian(
-                lambda v: bifurcation_function(cfg, v), zero.point, step=1e-3)
-            worst_det = max(worst_det,
-                            abs(float(determinant(jac)) - det_closed) / abs(det_closed))
-            worst_spec = max(worst_spec, spec_closed.match_distance(eig4(jac)))
+    worst_det, worst_spec = np.max([jacobian_gaps(cfg) for cfg in configs], axis=0)
     ok = worst_det <= 1e-5 and worst_spec <= 1e-5
     _report(3, ok, f"det rel err {worst_det:.2e}, spectrum mismatch {worst_spec:.2e} "
                    f"(bounds 1e-5)")
@@ -147,11 +120,7 @@ def test_criterion_3_determinant_and_spectrum_oracles():
 
 def test_criterion_4_origin_spectrum_and_char_poly():
     rng = np.random.default_rng(4)
-    worst_spec = 0.0
-    for _ in range(50):
-        p = ChenParams(*rng.uniform(-3, 3, 5))
-        numeric = eig4(jacobian_full(p, np.zeros(4)))
-        worst_spec = max(worst_spec, origin_eigenvalues(p).match_distance(numeric))
+    worst_spec = max(origin_spectrum_gap(ChenParams(*rng.uniform(-3, 3, 5))) for _ in range(50))
     worst_poly = 0.0
     for _ in range(20):
         p = ChenParams(*rng.uniform(-3, 3, 5))
@@ -177,9 +146,7 @@ def test_criterion_5_flow_correctness():
             worst_periodicity,
             float(np.max(np.abs(flow(cfg, u, data.period) - u))) / (1 + float(np.max(np.abs(u)))),
         )
-        t = rng.uniform(0, 10)
-        prod = fundamental_matrix(cfg, t) @ fundamental_matrix_inverse(cfg, t)
-        worst_inverse = max(worst_inverse, float(np.max(np.abs(prod - np.eye(4)))))
+        worst_inverse = max(worst_inverse, inverse_gap(cfg, rng.uniform(0, 10)))
         end = integrate(lambda s: split_standard_form(cfg, s)[0], u, data.period).states[-1]
         worst_integrator = max(worst_integrator,
                                float(np.max(np.abs(end - flow(cfg, u, data.period)))))

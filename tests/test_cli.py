@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from chenhopf import averaging, chen, linear_flow
 from chenhopf.cli import main
+from chenhopf.numerics import QuarticSpectrum
 
 
 def run(capsys, *argv):
@@ -53,6 +55,8 @@ def test_spectrum_dual_path_agreement(capsys):
     assert payload["max_deviation"] < 1e-8
     assert payload["closed_form"]["lambda1"]["re"] == 1.0      # r
     assert payload["closed_form"]["lambda2"]["re"] == 1.0      # -b with b = -1
+    assert payload["closed_form"]["lambda3"] == {"re": 0.0, "im": 1.0}
+    assert payload["closed_form"]["lambda4"] == {"re": 0.0, "im": -1.0}
     assert len(payload["char_poly_descending"]) == 5
 
 
@@ -62,6 +66,9 @@ def test_spectrum_independent_c(capsys):
     assert code == 0
     assert payload["closed_form"]["lambda1"]["re"] == 5.0
     assert payload["closed_form"]["lambda2"]["re"] == -3.0
+    # the roots (-1 +/- sqrt(17))/2 of -l^2 + (c - a) l + a(c + d)
+    assert payload["closed_form"]["lambda3"] == {"re": (-1 + np.sqrt(17)) / 2, "im": 0.0}
+    assert payload["closed_form"]["lambda4"] == {"re": (-1 - np.sqrt(17)) / 2, "im": 0.0}
 
 
 # ------------------------------------------------------------ favg
@@ -251,6 +258,38 @@ def test_selftest_forced_failure_exits_2(capsys):
     code, _, err = run(capsys, "selftest", "--force-fail")
     assert code == 2
     assert "forced failure" in err
+
+
+def _shifted(real, delta):
+    """real with delta added to its result, or to each eigenvalue of a spectrum."""
+    def broken(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if isinstance(out, QuarticSpectrum):
+            return QuarticSpectrum.from_iterable(v + delta for v in out.values)
+        return out + delta
+    return broken
+
+
+@pytest.mark.parametrize("module, name, delta, check", [
+    pytest.param(averaging, "bifurcation_function_quadrature", 1e-6,
+                 "averaged function: closed vs quadrature", id="quadrature"),
+    pytest.param(linear_flow, "fundamental_matrix_inverse", 1e-6,
+                 "fundamental matrix times inverse vs identity", id="inverse"),
+    pytest.param(chen, "origin_eigenvalues", 1e-6,
+                 "origin spectrum: closed vs numeric", id="origin_spectrum"),
+    pytest.param(averaging, "jacobian_determinant", 1e-3,
+                 "averaged det: closed vs finite differences", id="determinant"),
+    pytest.param(averaging, "averaged_spectrum", 1e-3,
+                 "averaged spectrum: closed vs finite differences", id="averaged_spectrum"),
+])
+def test_selftest_fails_when_one_route_is_perturbed(capsys, monkeypatch, module, name,
+                                                    delta, check):
+    # each library check compares two routes; perturbing one must fail its row
+    monkeypatch.setattr(module, name, _shifted(getattr(module, name), delta))
+    code, payload, _ = run_json(capsys, "selftest")
+    assert code == 2
+    row = next(row for row in payload["checks"] if row["name"] == check)
+    assert row["value"] > row["bound"] and row["pass"] is False
 
 
 # ------------------------------------------------------------ reproducibility

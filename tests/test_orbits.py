@@ -11,7 +11,7 @@ from chenhopf.chen import (
 )
 from chenhopf.integrators import IntegrationError, integrate_with_variational
 from chenhopf.linear_flow import period
-from chenhopf.numerics import QuarticSpectrum, eig4
+from chenhopf.numerics import EigenSolveError, QuarticSpectrum, eig4
 from chenhopf.orbits import (
     PeriodicOrbit,
     ShootingError,
@@ -86,6 +86,15 @@ def test_find_orbits_refuses_inadmissible_parameters():
     bad = RegimeConfig.make(a=-1.0, b=1.0, d=2.0, r=1.0, epsilon=0.01)
     with pytest.raises(RegimeError, match=r"b\*\(a\+d\)\*r"):
         find_bifurcating_orbits(bad)
+
+
+def test_find_orbits_labels_uncertified_multipliers(monkeypatch):
+    def refuse(matrix):
+        raise EigenSolveError("backward error too large", [])
+
+    monkeypatch.setattr("chenhopf.orbits.eig4", refuse)
+    with pytest.raises(ShootingError, match="branch 1 failed: multipliers not certified"):
+        find_bifurcating_orbits(canonical_config(0.0))
 
 
 def test_shoot_rejects_nonpositive_period():
