@@ -238,7 +238,8 @@ def _cmd_zeros(args) -> int:
         "manifest": _manifest(args, "zeros"),
         "closed_form": [_zero_payload(first), _zero_payload(second)],
         "newton_refined": [
-            {**_zero_payload(z), "iterations": rep.iterations, "converged": rep.converged}
+            {**_zero_payload(z), "iterations": rep.iterations, "converged": rep.converged,
+             "reason": rep.reason}
             for z, rep in refined
         ],
         "det_closed_form": jacobian_determinant(config),

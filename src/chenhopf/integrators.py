@@ -18,8 +18,10 @@ BLOWUP_NORM = 1e12
 #: per-step error tolerances: absolute, and relative to the state's max norm
 ABS_TOL = 1e-12
 REL_TOL = 1e-10
-#: default step budget of one integration
-MAX_STEPS = 10_000_000
+#: default step budget of one integration: about 100 times the most any
+#: certifying or refusing run takes (999 step attempts, five periods of a
+#: recurrence check; one period near the averaged zeros takes about 220)
+MAX_STEPS = 100_000
 
 _SAFETY = 0.9
 _FAC_MIN, _FAC_MAX = 0.2, 5.0
@@ -54,10 +56,14 @@ _P = np.array([
 
 
 class IntegrationError(RuntimeError):
-    """Integration aborted; carries the last good time and state."""
+    """Integration aborted; carries why, and the last good time and state.
 
-    def __init__(self, message: str, last_time: float, last_state: np.ndarray):
+    reason is "max_steps", "blowup", "non_finite" or "step_underflow".
+    """
+
+    def __init__(self, message: str, reason: str, last_time: float, last_state: np.ndarray):
         super().__init__(message)
+        self.reason = reason
         self.last_time = last_time
         self.last_state = np.array(last_state)
 
@@ -73,12 +79,12 @@ class Trajectory:
 def _guard(t: float, y: np.ndarray, t_last: float, y_last: np.ndarray) -> None:
     if not np.all(np.isfinite(y)):
         raise IntegrationError(
-            f"state became non-finite near t = {t:.6g}", t_last, y_last
+            f"state became non-finite near t = {t:.6g}", "non_finite", t_last, y_last
         )
     if np.max(np.abs(y)) > BLOWUP_NORM:
         raise IntegrationError(
             f"state norm exceeded {BLOWUP_NORM:.0e} near t = {t:.6g} (blow-up)",
-            t_last, y_last,
+            "blowup", t_last, y_last,
         )
 
 
@@ -119,7 +125,7 @@ def _adaptive_rk45(
             break
         h = min(h, t_end - t)
         if h < 1e3 * np.finfo(float).tiny:
-            raise IntegrationError(f"step size underflow at t = {t:.6g}", t, y)
+            raise IntegrationError(f"step size underflow at t = {t:.6g}", "step_underflow", t, y)
         for i in range(1, 7):
             k[i] = field(y + h * (_A[i] @ k[:i]))
         y_new = y + h * (_B5 @ k)
@@ -150,7 +156,7 @@ def _adaptive_rk45(
             h *= max(_FAC_MIN, min(1.0, _SAFETY * err ** (-0.2)))
     else:
         raise IntegrationError(
-            f"exceeded max_steps = {max_steps} before t_end", t, y
+            f"exceeded max_steps = {max_steps} before t_end", "max_steps", t, y
         )
     if samples is None:
         return y, None

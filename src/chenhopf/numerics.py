@@ -1,10 +1,20 @@
 """Small fixed-dimension numerical kernels.
 
 Everything in here is deliberately dimension-4 (or 5 for the extended
-shooting system): periodic quadrature, damped Newton iteration with a
-conditioning check, central-difference Jacobians, and 4x4 eigenvalues with a
-backward-error certificate relative to the matrix norm. numpy.linalg does
+shooting system): periodic quadrature, central-difference Jacobians, 4x4
+eigenvalues with a backward-error certificate relative to the matrix norm,
+and a damped Newton iteration with a conditioning check. numpy.linalg does
 the linear algebra.
+
+Newton says why it stopped (NewtonReport.reason): "converged" at the
+tolerance; "line_search_failed" when no damped step down to LAMBDA_MIN
+lowers the residual, so it returns the current iterate instead of a worse
+one; "stagnated" when the residual ratio of an accepted step exceeds
+STALL_RATIO on STALL_LIMIT consecutive iterations. Both mark a residual
+floor: no root nearby, or a residual computed only to some accuracy, as an
+integrated return map is (Deuflhard, Newton Methods for Nonlinear Problems,
+2004, ch. 3; Dennis & Schnabel, 1983, sec. 6.3). "max_iter" means the
+iteration budget ran out while the residual still fell.
 """
 from __future__ import annotations
 
@@ -22,6 +32,13 @@ RCOND_MIN = 1e-14
 
 #: certified eigenvalues are exact for a perturbation this small relative to |M|_2
 EIG_BACKWARD_RTOL = 1e-12
+
+#: smallest Newton damping factor tried: ten halvings of the full step
+LAMBDA_MIN = 2.0 ** -10
+#: an accepted Newton step whose residual ratio |F_new|/|F_old| exceeds this stalls
+STALL_RATIO = 0.5
+#: Newton stops as stagnated after this many consecutive stalled steps
+STALL_LIMIT = 2
 
 
 class SingularMatrixError(RuntimeError):
@@ -80,12 +97,27 @@ class QuarticSpectrum:
 
 @dataclass(frozen=True)
 class NewtonReport:
-    """Outcome of a damped Newton solve."""
+    """Outcome of a damped Newton solve.
+
+    root is the last accepted iterate and residual_norm its residual infinity
+    norm, the smallest the solve evaluated; iterations counts accepted steps.
+    reason is "converged", "stagnated", "line_search_failed" or "max_iter".
+    """
 
     root: np.ndarray
     iterations: int
     residual_norm: float
-    converged: bool
+    reason: str
+
+    @property
+    def converged(self) -> bool:
+        return self.reason == "converged"
+
+    def describe(self) -> str:
+        """The stop reason in words, e.g. 'stagnated after 3 iterations (best residual 4.1e-05)'."""
+        what = "ran out of iterations" if self.reason == "max_iter" else self.reason.replace("_", " ")
+        return (f"{what} after {self.iterations} iterations "
+                f"(best residual {self.residual_norm:.3e})")
 
 
 def determinant(matrix: np.ndarray) -> complex | float:
@@ -150,13 +182,16 @@ def newton_solve(
 ) -> NewtonReport:
     """Damped Newton iteration on a square nonlinear system.
 
-    Each step solves J step = -F with numpy.linalg.solve. The step is damped
-    by halving (up to 30 times) whenever the residual infinity norm fails to
-    decrease. Convergence is checked before the first step, so a seed that
-    already satisfies the tolerance reports zero iterations. Running out of
-    iterations yields a non-converged report rather than an exception; a
-    Jacobian that numpy cannot factor, or whose condition number exceeds
-    1/RCOND_MIN, raises SingularMatrixError.
+    Each step solves J step = -F with numpy.linalg.solve and tries the full
+    step first. A trial is accepted only if it lowers the residual infinity
+    norm; otherwise the step is halved, down to LAMBDA_MIN. Convergence is
+    checked before the first step, so a seed that already satisfies the
+    tolerance reports zero iterations, and again after every accepted step.
+    Not converging is a report, not an exception: the reason (see the module
+    docstring) says whether the residual hit a floor ("stagnated",
+    "line_search_failed") or the budget ran out ("max_iter"). A Jacobian that
+    numpy cannot factor, or whose condition number exceeds 1/RCOND_MIN,
+    raises SingularMatrixError.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -168,9 +203,10 @@ def newton_solve(
     x = np.array(seed, dtype=float)
     fx = np.asarray(residual(x), dtype=float)
     norm = float(np.max(np.abs(fx)))
-    for it in range(max_iter):
-        if norm <= tol:
-            return NewtonReport(root=x, iterations=it, residual_norm=norm, converged=True)
+    if norm <= tol:
+        return NewtonReport(root=x, iterations=0, residual_norm=norm, reason="converged")
+    stalls = 0
+    for it in range(1, max_iter + 1):
         jx = np.asarray(jac(x), dtype=float)
         try:
             cond = np.linalg.cond(jx)
@@ -180,16 +216,23 @@ def newton_solve(
         if not cond * RCOND_MIN <= 1.0:
             raise SingularMatrixError(f"Jacobian condition number {cond:.3e} above 1/RCOND_MIN")
         lam = 1.0
-        for _ in range(30):
+        while True:
             x_try = x + lam * step
             f_try = np.asarray(residual(x_try), dtype=float)
             n_try = float(np.max(np.abs(f_try)))
             if n_try < norm:
                 break
+            if lam <= LAMBDA_MIN:
+                return NewtonReport(root=x, iterations=it - 1, residual_norm=norm,
+                                    reason="line_search_failed")
             lam *= 0.5
+        stalls = stalls + 1 if n_try > STALL_RATIO * norm else 0
         x, fx, norm = x_try, f_try, n_try
-    converged = norm <= tol
-    return NewtonReport(root=x, iterations=max_iter, residual_norm=norm, converged=converged)
+        if norm <= tol:
+            return NewtonReport(root=x, iterations=it, residual_norm=norm, reason="converged")
+        if stalls >= STALL_LIMIT:
+            return NewtonReport(root=x, iterations=it, residual_norm=norm, reason="stagnated")
+    return NewtonReport(root=x, iterations=max_iter, residual_norm=norm, reason="max_iter")
 
 
 def eig4(matrix: np.ndarray) -> QuarticSpectrum:

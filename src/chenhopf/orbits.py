@@ -126,8 +126,13 @@ def shoot(
     max_steps bounds each integration of the residual and the Jacobian.
 
     Raises ShootingError when Newton does not converge, the multipliers are
-    not certified or the certificate gates fail; integration blow-up
-    propagates as IntegrationError.
+    not certified or the certificate gates fail. A Newton failure names its
+    stop reason and keeps the NewtonReport on the error: near an averaged
+    zero at epsilon > 0 no limit cycle exists (see the module docstring), the
+    residual has a positive floor, and Newton stops within a few iterations as
+    "stagnated" or "line_search_failed" instead of spending max_iter.
+    Integration failures (blow-up, step budget) propagate as
+    IntegrationError with their own reason.
     """
     if not seed_period > 0:
         raise ValueError(f"seed_period must be positive, got {seed_period}")
@@ -162,7 +167,7 @@ def shoot(
         raise ShootingError(f"singular shooting Jacobian: {exc}") from exc
     if not report.converged:
         raise ShootingError(
-            f"shooting Newton did not converge (best residual {report.residual_norm:.3e})",
+            f"shooting Newton {report.describe()}",
             report=report,
         )
     u_star, t_star = report.root[:4], float(report.root[4])
@@ -251,7 +256,7 @@ def _fixed_period_solution(config: RegimeConfig, seed, t0: float, branch: int) -
         raise ShootingError(f"singular return-map Jacobian: {exc}") from exc
     if not report.converged:
         raise ShootingError(
-            f"fixed-period Newton did not converge (best residual {report.residual_norm:.3e})",
+            f"fixed-period Newton {report.describe()}",
             report=report,
         )
     try:

@@ -127,6 +127,7 @@ def test_zeros_canonical_payload(capsys):
     for refined in payload["newton_refined"]:
         assert refined["residual"] < 1e-12
         assert refined["converged"] is True
+        assert refined["reason"] == "converged"
     # mirrored components between the two zeros
     second = payload["closed_form"][1]
     assert np.allclose(np.asarray(first["point"])[[0, 1, 3]],

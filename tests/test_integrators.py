@@ -76,13 +76,21 @@ def test_blowup_raises_with_last_good_state():
     field = lambda s: s * np.max(np.abs(s))     # finite-time blow-up
     with pytest.raises(IntegrationError) as err:
         integrate(field, np.array([5.0, 0, 0, 0]), 10.0)
+    assert err.value.reason == "blowup"
     assert err.value.last_time >= 0.0
     assert np.all(np.isfinite(err.value.last_state))
 
 
 def test_max_steps_exceeded_raises():
-    with pytest.raises(IntegrationError, match="max_steps"):
+    with pytest.raises(IntegrationError, match="max_steps") as err:
         integrate(lambda s: s, np.ones(4), 50.0, max_steps=10)
+    assert err.value.reason == "max_steps"
+
+
+def test_non_finite_field_raises_with_its_reason():
+    with pytest.raises(IntegrationError) as err:
+        integrate(lambda s: np.full(4, np.nan), np.zeros(4), 1.0)
+    assert err.value.reason == "non_finite"
 
 
 def test_input_validation():

@@ -116,7 +116,7 @@ def test_determinant_of_block_triangular_matrix(rng):
 def test_newton_affine_residual_converges_in_one_step():
     target = np.array([1.0, 2.0, 3.0, 4.0])
     report = newton_solve(lambda x: x - target, np.zeros(4))
-    assert report.converged
+    assert report.converged and report.reason == "converged"
     assert report.iterations == 1
     assert np.max(np.abs(report.root - target)) < 1e-12
 
@@ -138,6 +138,71 @@ def test_newton_iteration_budget_exhaustion_reports_not_raises():
     )
     assert isinstance(report, NewtonReport)
     assert not report.converged
+
+
+def _counting(residual):
+    """residual, plus the list of residual infinity norms it has evaluated."""
+    norms = []
+
+    def counted(x):
+        out = residual(x)
+        norms.append(float(np.max(np.abs(out))))
+        return out
+
+    return counted, norms
+
+
+def _cosh_residual(x):
+    # |F| >= 1 everywhere: a residual floor at a positive minimum
+    return np.array([np.cosh(x[0]), x[1], x[2], x[3]])
+
+
+def _cosh_jacobian(x):
+    return np.diag([np.sinh(x[0]), 1.0, 1.0, 1.0])
+
+
+def _noisy_affine_residual(x):
+    # an affine residual under 1e-6 of deterministic noise, the way a
+    # shooting residual sits on its integration error
+    return x - np.array([1.0, 2.0, 3.0, 4.0]) + 1e-6 * np.sin(1e7 * x)
+
+
+FLOOR_CASES = [
+    pytest.param(_cosh_residual, _cosh_jacobian, [2.0, 1, 1, 1], id="cosh-from-2"),
+    pytest.param(_cosh_residual, _cosh_jacobian, [0.3, 1, 1, 1], id="cosh-from-0.3"),
+    pytest.param(_cosh_residual, _cosh_jacobian, [-1.5, 1, 1, 1], id="cosh-from-minus-1.5"),
+    pytest.param(_noisy_affine_residual, lambda x: np.eye(4), [0.0, 0, 0, 0], id="noise-floor"),
+]
+
+
+@pytest.mark.parametrize("residual, jacobian, seed", FLOOR_CASES)
+def test_newton_stops_early_on_a_residual_floor(residual, jacobian, seed):
+    # the floor must be recognised within a few line searches, long before
+    # the 25-iteration budget
+    counted, norms = _counting(residual)
+    report = newton_solve(counted, np.array(seed), jacobian=jacobian, max_iter=25)
+    assert report.reason in {"stagnated", "line_search_failed"}
+    assert not report.converged
+    assert report.iterations <= 5
+    assert len(norms) <= 15
+
+
+@pytest.mark.parametrize("residual, jacobian, seed", FLOOR_CASES)
+def test_newton_never_accepts_a_point_that_did_not_improve(residual, jacobian, seed):
+    # the reported iterate carries the smallest residual the solve evaluated
+    counted, norms = _counting(residual)
+    report = newton_solve(counted, np.array(seed), jacobian=jacobian, max_iter=25)
+    assert report.residual_norm == min(norms)
+    assert float(np.max(np.abs(residual(report.root)))) == report.residual_norm
+
+
+def test_newton_reports_max_iter_while_the_residual_still_falls():
+    # x**3 loses a factor 8/27 per Newton step: steady progress, no stall
+    report = newton_solve(lambda x: x**3, np.ones(4), jacobian=lambda x: np.diag(3 * x**2),
+                          max_iter=3)
+    assert report.reason == "max_iter" and not report.converged
+    assert report.iterations == 3
+    assert report.residual_norm == pytest.approx((8 / 27) ** 3)
 
 
 def test_newton_converged_seed_takes_zero_iterations():

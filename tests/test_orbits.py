@@ -6,12 +6,13 @@ from chenhopf.chen import (
     RegimeConfig,
     RegimeError,
     canonical_config,
+    random_admissible_config,
     standard_form_field,
     standard_form_jacobian,
 )
-from chenhopf.integrators import IntegrationError, integrate_with_variational
+from chenhopf.integrators import IntegrationError, integrate, integrate_with_variational
 from chenhopf.linear_flow import period
-from chenhopf.numerics import EigenSolveError, QuarticSpectrum, eig4
+from chenhopf.numerics import EigenSolveError, QuarticSpectrum, eig4, newton_solve
 from chenhopf.orbits import (
     PeriodicOrbit,
     ShootingError,
@@ -151,6 +152,46 @@ def test_averaged_zeros_continue_into_equilibria_not_cycles():
             shoot(cfg, first.point, T0)
     # the equilibrium branch converges to the averaged zero linearly in eps
     assert distances[1] / distances[0] == pytest.approx(2.0, rel=0.05)
+
+
+def test_shoot_refusal_stops_on_the_residual_floor():
+    # the residual reaches its floor (about 4.1e-5) within a few steps; the
+    # refusal must say so instead of spending its 20-iteration budget
+    cfg = canonical_config(0.01)
+    first, _ = averaged_zeros(cfg)
+    with pytest.raises(ShootingError) as err:
+        shoot(cfg, first.point, period(cfg).period)
+    report = err.value.report
+    assert report.reason in {"stagnated", "line_search_failed"}
+    assert report.iterations <= 5
+    assert report.reason.replace("_", " ") in str(err.value)
+
+
+def test_fixed_period_newton_below_the_integration_floor_stops_early():
+    # the return-map Newton asked for 1e-12, below what one-period
+    # integration resolves on this draw (the residual floors near 1.2e-12);
+    # it must stop on the floor, not on its 25-iteration budget
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        cfg = random_admissible_config(rng)
+    cfg = cfg.with_epsilon(0.005)
+    t0 = period(cfg).period
+    field = lambda s: standard_form_field(cfg, s)
+    jac = lambda s: standard_form_jacobian(cfg, s)
+    integrations = []
+
+    def residual(u):
+        integrations.append(u)
+        return integrate(field, u, t0).states[-1] - u
+
+    report = newton_solve(
+        residual, averaged_zeros(cfg)[0].point,
+        jacobian=lambda u: integrate_with_variational(field, jac, u, t0)[1] - np.eye(4),
+        tol=1e-12,
+    )
+    assert not report.converged
+    assert report.reason != "max_iter"
+    assert len(integrations) <= 40
 
 
 def test_sweep_records_honest_failures_and_no_slope():
