@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Scaling study of the branch continuing from the averaged zeros.
 
-For a grid of admissible parameter sets and epsilon values, locates the
-exact equilibrium near each averaged zero, measures its distance to the
-zero, and compares the monodromy spectrum over one unperturbed period
-against the first-order prediction exp(eps * T * averaged eigenvalues).
+For a grid of admissible parameter sets and epsilon values, certifies the
+T0-periodic solution that averaging gives near the first averaged zero (an
+exact equilibrium), measures its distance to the zero, and compares its
+Floquet multipliers over one unperturbed period against the first-order
+prediction exp(eps * T * averaged eigenvalues).
 
 Emits a CSV suitable for plotting distance-vs-epsilon on log-log axes.
 """
@@ -16,9 +17,8 @@ import numpy as np
 
 from chenhopf.averaging import averaged_spectrum, averaged_zeros
 from chenhopf.chen import canonical_config, random_admissible_config
-from chenhopf.linear_flow import period
 from chenhopf.numerics import QuarticSpectrum
-from chenhopf.orbits import equilibrium_near, floquet_multipliers
+from chenhopf.orbits import averaged_periodic_solutions
 
 EPS_GRID = [0.0025, 0.005, 0.01, 0.02, 0.04, 0.08]
 OUT = Path(__file__).resolve().parent.parent / "out"
@@ -33,22 +33,16 @@ def main() -> int:
     rows = []
     for name, cfg in configs:
         zero = averaged_zeros(cfg)[0]
-        T0 = period(cfg).period
         spec = averaged_spectrum(cfg)
         for eps in EPS_GRID:
-            ceps = cfg.with_epsilon(eps)
-            report = equilibrium_near(ceps, zero.point)
-            if not report.converged:
-                continue
-            u_eq = report.root
-            multipliers = floquet_multipliers(ceps, u_eq, T0)
+            solution = averaged_periodic_solutions(cfg.with_epsilon(eps))[0]
             predicted = QuarticSpectrum.from_iterable(
-                [np.exp(eps * T0 * lam) for lam in spec.values])
+                [np.exp(eps * solution.period * lam) for lam in spec.values])
             rows.append({
                 "set": name,
                 "epsilon": eps,
-                "distance_to_zero": float(np.linalg.norm(u_eq - zero.point)),
-                "multiplier_prediction_error": multipliers.match_distance(predicted),
+                "distance_to_zero": float(np.linalg.norm(solution.initial_state - zero.point)),
+                "multiplier_prediction_error": solution.multipliers.match_distance(predicted),
             })
 
     path = OUT / "branch_scaling.csv"

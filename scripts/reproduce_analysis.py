@@ -24,8 +24,7 @@ from chenhopf.averaging import (
     stability_verdict,
 )
 from chenhopf.chen import canonical_config, check_zero_hopf_conditions
-from chenhopf.linear_flow import period
-from chenhopf.orbits import continuation_sweep, equilibrium_near, floquet_multipliers
+from chenhopf.orbits import averaged_periodic_solutions, continuation_sweep
 
 EPS_GRID = [0.005, 0.01, 0.02, 0.04]
 OUT = Path(__file__).resolve().parent.parent / "out"
@@ -56,15 +55,11 @@ def main() -> int:
     print(f"  worst scaled discrepancy over 500 points: {worst:.3e}")
 
     print("== invariant branch through the zeros ==")
-    T0 = period(cfg).period
     branch_rows = []
     for eps in EPS_GRID:
-        ceps = cfg.with_epsilon(eps)
-        report = equilibrium_near(ceps, first.point)
-        assert report.converged
-        u_eq = report.root
-        dist = float(np.linalg.norm(u_eq - first.point))
-        trivial_gap = min(abs(m - 1.0) for m in floquet_multipliers(ceps, u_eq, T0).values)
+        solution = averaged_periodic_solutions(cfg.with_epsilon(eps))[0]
+        dist = float(np.linalg.norm(solution.initial_state - first.point))
+        trivial_gap = solution.trivial_multiplier_defect()
         branch_rows.append({"epsilon": eps, "distance_to_zero": dist,
                             "trivial_multiplier_gap": trivial_gap})
         print(f"  eps={eps}: |u_eq - p1| = {dist:.6e} "

@@ -18,7 +18,6 @@ from .chen import (
 )
 from .averaging import AveragedZero, StabilityVerdict
 from .integrators import IntegrationError, Trajectory
-from .linear_flow import LinearSpectralData
 from .numerics import NewtonReport, QuarticSpectrum
 from .orbits import PeriodicOrbit, ShootingError, SweepResult, SweepRow
 
@@ -35,7 +34,6 @@ __all__ = [
     "StabilityVerdict",
     "IntegrationError",
     "Trajectory",
-    "LinearSpectralData",
     "NewtonReport",
     "QuarticSpectrum",
     "PeriodicOrbit",

@@ -106,7 +106,7 @@ def bifurcation_function_quadrature(config: RegimeConfig, u, nodes: int = 64) ->
     if nodes < 8:
         raise ValueError(f"need at least 8 quadrature nodes, got {nodes}")
     u = np.asarray(u, dtype=float)
-    T = period(config).period
+    T = period(config)
 
     def integrand(t: float) -> np.ndarray:
         state = flow(config, u, t)

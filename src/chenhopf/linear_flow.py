@@ -15,19 +15,10 @@ construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .chen import RegimeConfig, omega
-
-
-@dataclass(frozen=True)
-class LinearSpectralData:
-    """Angular frequency and common period of the unperturbed rotation."""
-
-    omega: float
-    period: float
 
 
 def flow(config: RegimeConfig, u, t: float) -> np.ndarray:
@@ -73,7 +64,6 @@ def inverse_gap(config: RegimeConfig, t: float) -> float:
     return float(np.max(np.abs(prod - np.eye(4))))
 
 
-def period(config: RegimeConfig) -> LinearSpectralData:
-    """Angular frequency and common period 2*pi/Omega of the rotation."""
-    om = omega(config.params)
-    return LinearSpectralData(omega=om, period=2 * math.pi / om)
+def period(config: RegimeConfig) -> float:
+    """Common period 2*pi/Omega of the rotation."""
+    return 2 * math.pi / omega(config.params)

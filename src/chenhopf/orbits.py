@@ -5,16 +5,19 @@ ask for different objects.
 
 `averaged_periodic_solutions` computes what first-order averaging promises:
 for each simple zero p of the averaged function f, a solution of period
-exactly T0 = 2*pi/Omega that tends to p as epsilon -> 0. It solves the
-fixed-period return-map equation phi_T0(u) - u = 0 from each zero. Near p the
+exactly T0 = 2*pi/Omega that tends to p as epsilon -> 0. Near p the
 averaging expansion gives D(phi_T0) - I = epsilon*T0*Df(p) + O(epsilon^2),
-which is nonsingular when det Df(p) != 0, so Newton converges in a few steps.
+which is nonsingular when det Df(p) != 0, so the T0-periodic point near p is
+unique.
 
-Such a solution is an equilibrium. For any T-periodic solution u of an
+That point is an equilibrium. For any T-periodic solution u of an
 autonomous field F, the return map satisfies D(phi_T)(u0) F(u0) = F(u0);
-since D(phi_T0) - I is nonsingular near p, F(u0) = 0. So no limit cycle
-continues a simple averaged zero, and the return map's Floquet multipliers
-there stay away from 1 (hyperbolicity, the numerical form of det Df != 0).
+since D(phi_T0) - I is nonsingular near p, F(u0) = 0. An equilibrium near p
+is T0-periodic, so by uniqueness it is the averaging solution: a Newton on F
+from p finds it, and a certificate checks it as a T0-periodic point (the
+closure of one fresh period, the Floquet multipliers, and hyperbolicity:
+every multiplier away from 1, the numerical form of det Df != 0). So no
+limit cycle continues a simple averaged zero.
 
 `shoot` certifies limit cycles only. An orbit is a root of the
 5-dimensional system
@@ -58,12 +61,6 @@ DISTINCTNESS_TOL = 1e-6
 
 _PERIOD_TRUST = (0.25, 4.0)     # allowed T range, relative to the seed period
 _PENALTY = 1e6
-#: closure tolerance of the fixed-period Newton, well inside RESIDUAL_GATE:
-#: the state error is the closure divided by the smallest |multiplier - 1|,
-#: which is only O(epsilon) (0.018 at the reference parameters and
-#: epsilon = 0.005). It sits an order above the one-period integration
-#: floor near the solutions, about 1e-12.
-_FIXED_PERIOD_TOL = 1e-11
 #: closure tolerance of the limit-cycle Newton. It sits above the one-period
 #: integration error so that an exactly periodic seed (the epsilon = 0 case,
 #: whose shooting Jacobian is singular) converges before any Newton step is
@@ -158,37 +155,12 @@ def shoot(
         out[4, :4] = anchor
         return out
 
-    try:
-        report = newton_solve(
-            residual, np.append(seed, seed_period),
-            jacobian=jacobian, tol=_SHOOT_TOL, max_iter=max_iter,
-        )
-    except SingularMatrixError as exc:
-        raise ShootingError(f"singular shooting Jacobian: {exc}") from exc
-    if not report.converged:
-        raise ShootingError(
-            f"shooting Newton {report.describe()}",
-            report=report,
-        )
-    u_star, t_star = report.root[:4], float(report.root[4])
-    if report.residual_norm > RESIDUAL_GATE:
-        raise ShootingError(
-            f"residual {report.residual_norm:.3e} above acceptance gate {RESIDUAL_GATE:.0e}",
-            report=report,
-        )
-    try:
-        multipliers = floquet_multipliers(config, u_star, t_star)
-    except EigenSolveError as exc:
-        raise ShootingError(f"multipliers not certified: {exc}", report=report) from exc
-    orbit = PeriodicOrbit(
-        epsilon=config.epsilon,
-        initial_state=u_star,
-        period=t_star,
-        residual=report.residual_norm,
-        multipliers=multipliers,
-        frame="scaled",
-        branch=branch,
-    )
+    report = _converged("shooting", lambda: newton_solve(
+        residual, np.append(seed, seed_period),
+        jacobian=jacobian, tol=_SHOOT_TOL, max_iter=max_iter,
+    ))
+    orbit = _certified_orbit(config, report, report.root[:4], float(report.root[4]),
+                             report.residual_norm, branch)
     # autonomous orbits carry the multiplier 1 exactly
     if orbit.trivial_multiplier_defect() > TRIVIAL_MULTIPLIER_TOL:
         raise ShootingError(
@@ -197,6 +169,33 @@ def shoot(
             report=report,
         )
     return orbit
+
+
+def _converged(what: str, solve) -> NewtonReport:
+    """Run solve(); a singular Jacobian or a non-converged report is a ShootingError."""
+    try:
+        report = solve()
+    except SingularMatrixError as exc:
+        raise ShootingError(f"singular {what} Jacobian: {exc}") from exc
+    if not report.converged:
+        raise ShootingError(f"{what} Newton {report.describe()}", report=report)
+    return report
+
+
+def _certified_orbit(config: RegimeConfig, report: NewtonReport, state, period: float,
+                     residual: float, branch: int) -> PeriodicOrbit:
+    """The residual gate, then the orbit with certified multipliers; callers gate those."""
+    if residual > RESIDUAL_GATE:
+        raise ShootingError(
+            f"residual {residual:.3e} above acceptance gate {RESIDUAL_GATE:.0e}",
+            report=report,
+        )
+    try:
+        multipliers = floquet_multipliers(config, state, period)
+    except EigenSolveError as exc:
+        raise ShootingError(f"multipliers not certified: {exc}", report=report) from exc
+    return PeriodicOrbit(epsilon=config.epsilon, initial_state=state, period=period,
+                         residual=residual, multipliers=multipliers, frame="scaled", branch=branch)
 
 
 def floquet_multipliers(config: RegimeConfig, state, duration: float) -> QuarticSpectrum:
@@ -211,7 +210,7 @@ def floquet_multipliers(config: RegimeConfig, state, duration: float) -> Quartic
 def _solve_both_branches(config: RegimeConfig, solve) -> tuple[PeriodicOrbit, PeriodicOrbit]:
     """Run solve(seed, t0, branch) from each averaged zero; require distinct results."""
     zeros = averaged_zeros(config)
-    t0 = period(config).period
+    t0 = period(config)
     orbits = []
     for branch, zero in enumerate(zeros, start=1):
         try:
@@ -242,36 +241,11 @@ def find_bifurcating_orbits(config: RegimeConfig) -> tuple[PeriodicOrbit, Period
     )
 
 
-def _fixed_period_solution(config: RegimeConfig, seed, t0: float, branch: int) -> PeriodicOrbit:
-    field = lambda s: standard_form_field(config, s)
-    jac = lambda s: standard_form_jacobian(config, s)
-    try:
-        report = newton_solve(
-            lambda u: integrate(field, u, t0).states[-1] - u,
-            seed,
-            jacobian=lambda u: integrate_with_variational(field, jac, u, t0)[1] - np.eye(4),
-            tol=_FIXED_PERIOD_TOL,
-        )
-    except SingularMatrixError as exc:
-        raise ShootingError(f"singular return-map Jacobian: {exc}") from exc
-    if not report.converged:
-        raise ShootingError(
-            f"fixed-period Newton {report.describe()}",
-            report=report,
-        )
-    try:
-        multipliers = floquet_multipliers(config, report.root, t0)
-    except EigenSolveError as exc:
-        raise ShootingError(f"multipliers not certified: {exc}", report=report) from exc
-    orbit = PeriodicOrbit(
-        epsilon=config.epsilon,
-        initial_state=report.root,
-        period=t0,
-        residual=report.residual_norm,
-        multipliers=multipliers,
-        frame="scaled",
-        branch=branch,
-    )
+def _averaged_solution(config: RegimeConfig, seed, t0: float, branch: int) -> PeriodicOrbit:
+    report = _converged("equilibrium", lambda: equilibrium_near(config, seed))
+    end = integrate(lambda s: standard_form_field(config, s), report.root, t0).states[-1]
+    closure = float(np.max(np.abs(end - report.root)))
+    orbit = _certified_orbit(config, report, report.root, t0, closure, branch)
     if orbit.trivial_multiplier_defect() <= TRIVIAL_MULTIPLIER_TOL:
         raise ShootingError(
             f"not hyperbolic: a Floquet multiplier lies within {TRIVIAL_MULTIPLIER_TOL:.0e} "
@@ -284,19 +258,21 @@ def _fixed_period_solution(config: RegimeConfig, seed, t0: float, branch: int) -
 def averaged_periodic_solutions(config: RegimeConfig) -> tuple[PeriodicOrbit, PeriodicOrbit]:
     """The T0-periodic solutions that first-order averaging guarantees.
 
-    Solves phi_T0(u) = u at the unperturbed period T0 from each averaged zero
-    and certifies each solution: closure below RESIDUAL_GATE, every Floquet
+    Near each averaged zero the T0-periodic solution is unique and is an
+    equilibrium of the perturbed field (see the module docstring), so it is
+    found by equilibrium_near from the zero. Each solution is then certified
+    as a T0-periodic point: the closure max|phi_T0(u) - u| of one fresh
+    integration below RESIDUAL_GATE (reported as its residual), every Floquet
     multiplier farther than TRIVIAL_MULTIPLIER_TOL from 1 (hyperbolic, the
     numerical form of det Df != 0), and branches farther apart than
-    DISTINCTNESS_TOL. The solutions are equilibria of the perturbed field
-    (see the module docstring), not limit cycles. At epsilon = 0 every point
-    is T0-periodic, so the hyperbolicity gate refuses.
+    DISTINCTNESS_TOL. At epsilon = 0 every point is T0-periodic, so the
+    hyperbolicity gate refuses.
 
     Raises RegimeError for parameters outside the zero-Hopf regime and
     ShootingError when a solve or a gate fails.
     """
     return _solve_both_branches(
-        config, lambda seed, t0, branch: _fixed_period_solution(config, seed, t0, branch)
+        config, lambda seed, t0, branch: _averaged_solution(config, seed, t0, branch)
     )
 
 
@@ -322,7 +298,7 @@ def continuation_sweep(config: RegimeConfig, epsilons) -> SweepResult:
     if any(b <= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError(f"epsilons must be strictly ascending, got {eps_list}")
     zeros = averaged_zeros(config)
-    t0 = period(config).period
+    t0 = period(config)
 
     rows: list[SweepRow] = []
     slopes: dict[int, float | None] = {}

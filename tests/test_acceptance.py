@@ -140,16 +140,16 @@ def test_criterion_5_flow_correctness():
     worst_periodicity, worst_inverse, worst_integrator = 0.0, 0.0, 0.0
     for _ in range(10):
         cfg = random_admissible_config(rng)
-        data = period(cfg)
+        T = period(cfg)
         u = rng.uniform(-2, 2, 4)
         worst_periodicity = max(
             worst_periodicity,
-            float(np.max(np.abs(flow(cfg, u, data.period) - u))) / (1 + float(np.max(np.abs(u)))),
+            float(np.max(np.abs(flow(cfg, u, T) - u))) / (1 + float(np.max(np.abs(u)))),
         )
         worst_inverse = max(worst_inverse, inverse_gap(cfg, rng.uniform(0, 10)))
-        end = integrate(lambda s: split_standard_form(cfg, s)[0], u, data.period).states[-1]
+        end = integrate(lambda s: split_standard_form(cfg, s)[0], u, T).states[-1]
         worst_integrator = max(worst_integrator,
-                               float(np.max(np.abs(end - flow(cfg, u, data.period)))))
+                               float(np.max(np.abs(end - flow(cfg, u, T)))))
     elapsed = time.perf_counter() - start
     ok = (worst_periodicity <= 1e-10 and worst_inverse <= 1e-9
           and worst_integrator <= 1e-9 and elapsed < 5.0)

@@ -41,9 +41,9 @@ def test_adaptive_error_stays_within_tolerance_budget(rng):
     for _ in range(5):
         cfg = random_admissible_config(rng)
         u = rng.uniform(-2, 2, 4)
-        data = period(cfg)
-        end = integrate(_linear_part_field(cfg), u, data.period).states[-1]
-        exact = flow(cfg, u, data.period)
+        T = period(cfg)
+        end = integrate(_linear_part_field(cfg), u, T).states[-1]
+        exact = flow(cfg, u, T)
         budget = 10 * (ABS_TOL + REL_TOL * np.max(np.abs(u)))
         assert np.max(np.abs(end - exact)) <= budget
 
@@ -91,6 +91,13 @@ def test_non_finite_field_raises_with_its_reason():
     with pytest.raises(IntegrationError) as err:
         integrate(lambda s: np.full(4, np.nan), np.zeros(4), 1.0)
     assert err.value.reason == "non_finite"
+
+
+def test_large_field_on_a_small_state_is_not_a_blowup():
+    # the blow-up guard bounds the state, not the field: over 1e-20 a field
+    # of 1e13 moves the state only to 1e-7
+    traj = integrate(lambda s: 1e13 * np.ones(4), np.zeros(4), 1e-20)
+    assert np.allclose(traj.states[-1], 1e-7, rtol=1e-12, atol=0.0)
 
 
 def test_input_validation():
@@ -148,7 +155,7 @@ def test_variational_zero_field_gives_identity():
 
 def test_variational_unperturbed_monodromy_is_identity():
     cfg = canonical_config(0.0)
-    T = period(cfg).period
+    T = period(cfg)
     _, mono = integrate_with_variational(
         lambda s: standard_form_field(cfg, s),
         lambda s: standard_form_jacobian(cfg, s),

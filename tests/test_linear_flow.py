@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chenhopf.chen import RegimeConfig, RegimeError, canonical_config, split_standard_form
+from chenhopf.chen import RegimeConfig, RegimeError, canonical_config, omega, split_standard_form
 from chenhopf.averaging import (
     averaged_spectrum,
     averaged_zeros,
@@ -49,7 +49,7 @@ def test_flow_elliptic_hand_case():
 
 def test_flow_is_periodic_on_elliptic_branch(rng):
     cfg = canonical_config()
-    T = period(cfg).period
+    T = period(cfg)
     for _ in range(20):
         u = rng.uniform(-3, 3, 4)
         defect = np.max(np.abs(flow(cfg, u, T) - u))
@@ -124,7 +124,7 @@ def test_elliptic_regime_is_required_everywhere(cfg, call):
 
 def test_fundamental_matrix_identity_at_zero_and_period():
     cfg = canonical_config()
-    T = period(cfg).period
+    T = period(cfg)
     assert np.max(np.abs(fundamental_matrix(cfg, 0.0) - np.eye(4))) < 1e-14
     assert np.max(np.abs(fundamental_matrix(cfg, T) - np.eye(4))) < 1e-12
 
@@ -139,7 +139,7 @@ def test_fundamental_matrix_propagates_like_flow(rng):
 
 def test_inverse_matrix_identity_at_zero_and_period():
     cfg = canonical_config()
-    T = period(cfg).period
+    T = period(cfg)
     assert np.max(np.abs(fundamental_matrix_inverse(cfg, 0.0) - np.eye(4))) < 1e-14
     assert np.max(np.abs(fundamental_matrix_inverse(cfg, T) - np.eye(4))) < 1e-12
 
@@ -163,16 +163,16 @@ def test_inverse_matrix_matches_numerical_inversion(rng):
 # ------------------------------------------------------------ period data
 
 def test_period_values():
-    data = period(RegimeConfig.make(a=-1.0, b=0.0, d=2.0, r=0.0))
-    assert data.omega == 1.0
-    assert abs(data.period - 2 * np.pi) < 1e-15
-    data2 = period(RegimeConfig.make(a=-2.0, b=0.0, d=6.0, r=0.0))
-    assert data2.omega == np.sqrt(8.0)
+    cfg = RegimeConfig.make(a=-1.0, b=0.0, d=2.0, r=0.0)
+    assert omega(cfg.params) == 1.0
+    assert abs(period(cfg) - 2 * np.pi) < 1e-15
+    cfg2 = RegimeConfig.make(a=-2.0, b=0.0, d=6.0, r=0.0)
+    assert omega(cfg2.params) == np.sqrt(8.0)
 
 
 def test_period_omega_consistency(rng):
     for _ in range(10):
         a = rng.uniform(0.5, 1.6) * rng.choice([-1, 1])
         s = -np.sign(a) * rng.uniform(0.5, 1.6)
-        data = period(RegimeConfig.make(a=a, b=0.0, d=s - a, r=0.0))
-        assert abs(data.omega * data.period - 2 * np.pi) < 1e-12
+        cfg = RegimeConfig.make(a=a, b=0.0, d=s - a, r=0.0)
+        assert abs(omega(cfg.params) * period(cfg) - 2 * np.pi) < 1e-12

@@ -41,12 +41,34 @@ def _equilibrium_root(config, point):
     return report.root
 
 
+def _return_map_newton(config, seed, tol):
+    """Newton on phi_T0(u) - u with the variational Jacobian, assuming no equilibrium.
+
+    Returns the report and the number of one-period residual integrations.
+    """
+    t0 = period(config)
+    field = lambda s: standard_form_field(config, s)
+    jac = lambda s: standard_form_jacobian(config, s)
+    integrations = []
+
+    def residual(u):
+        integrations.append(u)
+        return integrate(field, u, t0).states[-1] - u
+
+    report = newton_solve(
+        residual, seed,
+        jacobian=lambda u: integrate_with_variational(field, jac, u, t0)[1] - np.eye(4),
+        tol=tol,
+    )
+    return report, len(integrations)
+
+
 # ------------------------------------------------------------ epsilon = 0
 
 def test_shoot_unperturbed_seed_is_already_periodic():
     cfg = canonical_config(0.0)
     first, _ = averaged_zeros(cfg)
-    T0 = period(cfg).period
+    T0 = period(cfg)
     orbit = shoot(cfg, first.point, T0)
     assert orbit.residual < 1e-10
     assert abs(orbit.period - T0) < 1e-12
@@ -58,7 +80,7 @@ def test_shoot_unperturbed_seed_is_already_periodic():
 
 def test_shoot_every_point_is_periodic_at_epsilon_zero(rng):
     cfg = canonical_config(0.0)
-    T0 = period(cfg).period
+    T0 = period(cfg)
     u = rng.uniform(-1, 1, 4)
     orbit = shoot(cfg, u, T0)
     assert orbit.residual < 1e-10
@@ -132,7 +154,7 @@ def test_averaged_zeros_continue_into_equilibria_not_cycles():
         u_eq = _equilibrium_root(cfg, first.point)
         distances.append(np.linalg.norm(u_eq - first.point))
         # it is an exact fixed point of the return map at every period
-        T0 = period(cfg).period
+        T0 = period(cfg)
         end, mono = integrate_with_variational(
             lambda s: standard_form_field(cfg, s),
             lambda s: standard_form_jacobian(cfg, s),
@@ -160,7 +182,7 @@ def test_shoot_refusal_stops_on_the_residual_floor():
     cfg = canonical_config(0.01)
     first, _ = averaged_zeros(cfg)
     with pytest.raises(ShootingError) as err:
-        shoot(cfg, first.point, period(cfg).period)
+        shoot(cfg, first.point, period(cfg))
     report = err.value.report
     assert report.reason in {"stagnated", "line_search_failed"}
     assert report.iterations <= 5
@@ -175,23 +197,10 @@ def test_fixed_period_newton_below_the_integration_floor_stops_early():
     for _ in range(3):
         cfg = random_admissible_config(rng)
     cfg = cfg.with_epsilon(0.005)
-    t0 = period(cfg).period
-    field = lambda s: standard_form_field(cfg, s)
-    jac = lambda s: standard_form_jacobian(cfg, s)
-    integrations = []
-
-    def residual(u):
-        integrations.append(u)
-        return integrate(field, u, t0).states[-1] - u
-
-    report = newton_solve(
-        residual, averaged_zeros(cfg)[0].point,
-        jacobian=lambda u: integrate_with_variational(field, jac, u, t0)[1] - np.eye(4),
-        tol=1e-12,
-    )
+    report, integrations = _return_map_newton(cfg, averaged_zeros(cfg)[0].point, tol=1e-12)
     assert not report.converged
     assert report.reason != "max_iter"
-    assert len(integrations) <= 40
+    assert integrations <= 40
 
 
 def test_sweep_records_honest_failures_and_no_slope():
@@ -210,9 +219,12 @@ def test_averaged_periodic_solutions_are_the_equilibria_at_period_T0():
     first, second = averaged_periodic_solutions(cfg)
     assert (first.branch, second.branch) == (1, 2)
     for sol, zero in zip((first, second), averaged_zeros(cfg)):
-        assert sol.period == period(cfg).period
+        assert sol.period == period(cfg)
         assert sol.frame == "scaled"
-        assert np.max(np.abs(sol.initial_state - _equilibrium_root(cfg, zero.point))) < 1e-9
+        # the T0-periodic point found without assuming an equilibrium
+        report, _ = _return_map_newton(cfg, zero.point, tol=1e-11)
+        assert report.converged
+        assert np.max(np.abs(sol.initial_state - report.root)) < 1e-9
 
 
 @pytest.mark.parametrize("eps", [0.005, 0.01])
@@ -220,7 +232,7 @@ def test_averaged_periodic_solution_multipliers_follow_the_averaged_spectrum(eps
     # averaging predicts multipliers exp(eps*T0*lambda) up to O(eps^2); a
     # multiplier off by 1e-3 at eps = 0.005 would break the 20*eps^2 bound
     cfg = canonical_config(eps)
-    t0 = period(cfg).period
+    t0 = period(cfg)
     predicted = QuarticSpectrum.from_iterable(
         np.exp(eps * t0 * lam) for lam in averaged_spectrum(cfg).values
     )
@@ -301,7 +313,7 @@ def test_unscaled_unperturbed_orbit_recurs_under_full_field(rng):
 
 def test_recurrence_defect_multi_period(rng):
     cfg = canonical_config(0.0)
-    T0 = period(cfg).period
+    T0 = period(cfg)
     orbit = shoot(cfg, rng.uniform(-1, 1, 4), T0)
     assert recurrence_defect(cfg, orbit, periods=5) < 1e-7
 
@@ -309,7 +321,7 @@ def test_recurrence_defect_multi_period(rng):
 def test_orbit_trajectory_samples_one_period():
     cfg = canonical_config(0.0)
     first, _ = averaged_zeros(cfg)
-    orbit = shoot(cfg, first.point + np.array([0.3, 0.0, 0.0, 0.0]), period(cfg).period)
+    orbit = shoot(cfg, first.point + np.array([0.3, 0.0, 0.0, 0.0]), period(cfg))
     traj = orbit_trajectory(cfg, orbit, samples=100)
     assert traj.times.shape == (100,)
     assert np.max(np.abs(traj.states[-1] - traj.states[0])) < 1e-6
