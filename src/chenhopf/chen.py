@@ -93,13 +93,20 @@ def canonical_config(epsilon: float = 0.0) -> RegimeConfig:
     return RegimeConfig.make(a=-1.0, b=-1.0, d=2.0, r=1.0, epsilon=epsilon)
 
 
-def _state(state) -> np.ndarray:
+def _state(state) -> list[float]:
+    """The four components of a finite 4-vector as Python floats.
+
+    Every field and Jacobian below validates through here. Checking four
+    floats with math.isfinite costs a fraction of an array-wide isfinite, and
+    scalar arithmetic on Python floats gives the same IEEE results.
+    """
     s = np.asarray(state, dtype=float)
     if s.shape != (4,):
         raise ValueError(f"state must have 4 components, got shape {s.shape}")
-    if not np.all(np.isfinite(s)):
+    x, y, z, w = vals = s.tolist()
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z) and math.isfinite(w)):
         raise ValueError(f"state contains non-finite entries: {s!r}")
-    return s
+    return vals
 
 
 def vector_field_full(params: ChenParams, state) -> np.ndarray:
@@ -232,9 +239,21 @@ def split_standard_form(config: RegimeConfig, state) -> tuple[np.ndarray, np.nda
 
 
 def standard_form_field(config: RegimeConfig, state) -> np.ndarray:
-    """Full right-hand side of the averaging standard form."""
-    linear, perturbation = split_standard_form(config, state)
-    return linear + config.epsilon * perturbation
+    """Full right-hand side of the averaging standard form.
+
+    Bit-identical to ``linear + epsilon * perturbation`` from
+    split_standard_form: each component keeps that operation order, zero
+    terms included (they fix the sign of a zero result).
+    """
+    x, y, z, w = _state(state)
+    a, b, d, r = config.params.a, config.params.b, config.params.d, config.params.r
+    eps = config.epsilon
+    return np.array([
+        (a * (y - x) + w) + eps * 0.0,
+        (d * x + a * y) + eps * (-x * z),
+        0.0 + eps * (x * y - b * z),
+        0.0 + eps * (y * z + r * w),
+    ])
 
 
 def standard_form_jacobian(config: RegimeConfig, state) -> np.ndarray:

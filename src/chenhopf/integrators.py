@@ -5,6 +5,23 @@ control and the standard quartic dense-output interpolant (Hairer, Norsett &
 Wanner, Solving ODEs I, II.4-II.5). The shooting layer needs ~1e-12 endpoint
 accuracy over one period, which the embedded pair reaches cheaply at the
 fixed tolerances below.
+
+Which guard runs where:
+
+* before the first step: t_end, max_steps and the initial state are
+  validated (ValueError), and the field at t = 0 must be finite
+  ("non_finite"; it may exceed BLOWUP_NORM where the state is small);
+* each step attempt: the proposed state and error estimate are checked for
+  finiteness ("non_finite", or "blowup" if only the error estimate is not
+  finite and the state is past BLOWUP_NORM), and h must stay above a tiny
+  floor ("step_underflow");
+* each accepted step: only the blow-up test, on the max|y| the error norm
+  already computed, since finiteness was checked before acceptance;
+* the loop as a whole: at most max_steps step attempts ("max_steps").
+
+Every IntegrationError carries the last good time and state, from before
+the failing step. The fields validate their own input (chen._state), so
+every right-hand-side call still rejects a non-finite state.
 """
 from __future__ import annotations
 
@@ -23,6 +40,8 @@ REL_TOL = 1e-10
 #: recurrence check; one period near the averaged zeros takes about 220)
 MAX_STEPS = 100_000
 
+#: smallest step attempted before raising step_underflow
+_H_MIN = 1e3 * np.finfo(float).tiny
 _SAFETY = 0.9
 _FAC_MIN, _FAC_MAX = 0.2, 5.0
 # PI controller exponents for a 5th-order propagator
@@ -76,16 +95,20 @@ class Trajectory:
     states: np.ndarray
 
 
+def _blowup(t: float, t_last: float, y_last: np.ndarray) -> IntegrationError:
+    return IntegrationError(
+        f"state norm exceeded {BLOWUP_NORM:.0e} near t = {t:.6g} (blow-up)",
+        "blowup", t_last, y_last,
+    )
+
+
 def _guard(t: float, y: np.ndarray, t_last: float, y_last: np.ndarray) -> None:
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise IntegrationError(
             f"state became non-finite near t = {t:.6g}", "non_finite", t_last, y_last
         )
-    if np.max(np.abs(y)) > BLOWUP_NORM:
-        raise IntegrationError(
-            f"state norm exceeded {BLOWUP_NORM:.0e} near t = {t:.6g} (blow-up)",
-            "blowup", t_last, y_last,
-        )
+    if np.abs(y).max() > BLOWUP_NORM:
+        raise _blowup(t, t_last, y_last)
 
 
 def _adaptive_rk45(
@@ -101,14 +124,15 @@ def _adaptive_rk45(
     if not max_steps >= 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     y = np.array(u0, dtype=float)
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise ValueError("initial state must be finite")
     t = 0.0
     f0 = np.asarray(field(y), dtype=float)
     # the field may be large where the state is small: check it for finiteness only
-    if not np.all(np.isfinite(f0)):
+    if not np.isfinite(f0).all():
         raise IntegrationError("field is non-finite at t = 0", "non_finite", 0.0, y)
-    h = min(t_end, 0.01 * (1.0 + float(np.max(np.abs(y)))) / (1.0 + float(np.max(np.abs(f0)))))
+    y_norm = float(np.abs(y).max())   # max|y|, carried from step to step
+    h = min(t_end, 0.01 * (1.0 + y_norm) / (1.0 + float(np.abs(f0).max())))
 
     samples = None
     next_sample = 0
@@ -126,19 +150,22 @@ def _adaptive_rk45(
         if t >= t_end:
             break
         h = min(h, t_end - t)
-        if h < 1e3 * np.finfo(float).tiny:
+        if h < _H_MIN:
             raise IntegrationError(f"step size underflow at t = {t:.6g}", "step_underflow", t, y)
         for i in range(1, 7):
             k[i] = field(y + h * (_A[i] @ k[:i]))
         y_new = y + h * (_B5 @ k)
         err_vec = h * (_ERR @ k)
-        if not (np.all(np.isfinite(y_new)) and np.all(np.isfinite(err_vec))):
+        if not (np.isfinite(y_new).all() and np.isfinite(err_vec).all()):
             _guard(t + h, y_new, t, y)
-        scale = ABS_TOL + REL_TOL * max(
-            float(np.max(np.abs(y))), float(np.max(np.abs(y_new)))
-        )
-        err = float(np.max(np.abs(err_vec))) / scale
+        y_new_norm = float(np.abs(y_new).max())
+        scale = ABS_TOL + REL_TOL * max(y_norm, y_new_norm)
+        err = float(np.abs(err_vec).max()) / scale
         if err <= 1.0:
+            # y_new is finite here (checked above); the blow-up error keeps
+            # the pre-step time and state, the last good ones
+            if y_new_norm > BLOWUP_NORM:
+                raise _blowup(t + h, t, y)
             if samples is not None and next_sample < len(sample_times):
                 # dense output over (t, t+h]
                 q = (k.T @ _P) * h
@@ -148,8 +175,7 @@ def _adaptive_rk45(
                     samples[next_sample] = y + q @ powers
                     next_sample += 1
             t += h
-            y = y_new
-            _guard(t, y, t - h, y)
+            y, y_norm = y_new, y_new_norm
             k[0] = field(y)
             fac = _SAFETY * (err + 1e-20) ** (-_ALPHA) * err_prev ** _BETA
             err_prev = max(err, 1e-4)

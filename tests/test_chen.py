@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,6 +70,33 @@ def test_field_hand_substitution_and_independent_recode():
 def test_field_rejects_nonfinite_state():
     with pytest.raises(ValueError):
         vector_field_full(PARAMS, [np.nan, 0, 0, 0])
+
+
+_STATE_FUNCTIONS = {
+    "vector_field_full": lambda s: vector_field_full(PARAMS, s),
+    "jacobian_full": lambda s: jacobian_full(PARAMS, s),
+    "vector_field_scaled": lambda s: vector_field_scaled(canonical_config(0.01), s),
+    "split_standard_form": lambda s: split_standard_form(canonical_config(0.01), s),
+    "standard_form_field": lambda s: standard_form_field(canonical_config(0.01), s),
+    "standard_form_jacobian": lambda s: standard_form_jacobian(canonical_config(0.01), s),
+}
+
+
+@pytest.mark.parametrize("name", list(_STATE_FUNCTIONS))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_state_functions_reject_non_finite_entries(name, bad):
+    state = np.array([0.5, bad, 0.0, -1.0])
+    message = f"state contains non-finite entries: {state!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _STATE_FUNCTIONS[name](state)
+
+
+@pytest.mark.parametrize("name", list(_STATE_FUNCTIONS))
+@pytest.mark.parametrize("shape", [(3,), (2, 2)], ids=["3", "2x2"])
+def test_state_functions_reject_wrong_shapes(name, shape):
+    message = f"state must have 4 components, got shape {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _STATE_FUNCTIONS[name](np.ones(shape))
 
 
 # ------------------------------------------------------------ jacobian
@@ -267,6 +296,21 @@ def test_split_recombines_to_standard_form(state, eps):
     cfg = canonical_config(eps)
     lin, pert = split_standard_form(cfg, state)
     assert np.max(np.abs(lin + eps * pert - standard_form_field(cfg, state))) < 1e-14
+
+
+def test_standard_form_field_is_bit_identical_to_its_split(rng):
+    # same operation order as linear + eps * perturbation, so the same bits,
+    # signed zeros included
+    zero_states = [np.zeros(4), -np.zeros(4), np.array([0.0, -0.0, 1.0, -0.0])]
+    for eps in (0.0, 0.01, 0.3):
+        for cfg in (canonical_config(eps), random_admissible_config(rng).with_epsilon(eps)):
+            random_states = [rng.uniform(-span, span, 4) for span in (1.0, 1e3, 1e6) for _ in range(30)]
+            for s in zero_states + random_states:
+                lin, pert = split_standard_form(cfg, s)
+                expected = lin + eps * pert
+                out = standard_form_field(cfg, s)
+                assert np.array_equal(out, expected)
+                assert out.tobytes() == expected.tobytes()
 
 
 def test_standard_form_is_rescaled_scaled_field(rng):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from chenhopf.averaging import averaged_zeros
 from chenhopf.chen import canonical_config, random_admissible_config, split_standard_form, standard_form_field, standard_form_jacobian
 from chenhopf.integrators import (
     ABS_TOL,
+    BLOWUP_NORM,
     REL_TOL,
     IntegrationError,
     integrate,
@@ -70,6 +72,29 @@ def test_sampling_grid_is_inclusive_and_even():
     assert np.allclose(traj.times, [0.0, 0.5, 1.0, 1.5, 2.0])
 
 
+@pytest.mark.parametrize("eps, plain_evals, variational_evals", [
+    (0.01, 484, 1478),
+    (0.0, 36, 1471),
+])
+def test_step_controller_field_evaluation_counts(eps, plain_evals, variational_evals):
+    # pins the step sequence: any change to the controller, the tolerances or
+    # the error norm moves these counts
+    cfg = canonical_config(eps)
+    u0 = averaged_zeros(cfg)[0].point
+    calls = 0
+
+    def counted_field(s):
+        nonlocal calls
+        calls += 1
+        return standard_form_field(cfg, s)
+
+    integrate(counted_field, u0, 2 * np.pi)
+    assert calls == plain_evals
+    calls = 0
+    integrate_with_variational(counted_field, lambda s: standard_form_jacobian(cfg, s), u0, 2 * np.pi)
+    assert calls == variational_evals
+
+
 # ------------------------------------------------------------ failure modes
 
 def test_blowup_raises_with_last_good_state():
@@ -79,6 +104,8 @@ def test_blowup_raises_with_last_good_state():
     assert err.value.reason == "blowup"
     assert err.value.last_time >= 0.0
     assert np.all(np.isfinite(err.value.last_state))
+    # the last good state is the one before the step that crossed the bound
+    assert np.max(np.abs(err.value.last_state)) <= BLOWUP_NORM
 
 
 def test_max_steps_exceeded_raises():
