@@ -6,6 +6,11 @@ Wanner, Solving ODEs I, II.4-II.5). The shooting layer needs ~1e-12 endpoint
 accuracy over one period, which the embedded pair reaches cheaply at the
 fixed tolerances below.
 
+First-same-as-last: the seventh stage is the field at the proposed state
+and an accepted step reuses it as the next first stage, so an integration
+costs 1 + 6 field evaluations per step attempt. Dense output is built only
+on a step that holds a requested interior sample.
+
 Which guard runs where:
 
 * before the first step: t_end, max_steps and the initial state are
@@ -58,7 +63,6 @@ _A = [
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
     np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 ]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 # difference between the 5th- and embedded 4th-order weights
 _ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
                  -17253 / 339200, 22 / 525, -1 / 40])
@@ -116,17 +120,17 @@ def _adaptive_rk45(
     u0: np.ndarray,
     t_end: float,
     max_steps: int,
-    sample_count: int | None,
-) -> tuple[np.ndarray, Trajectory | None]:
-    """Core stepper; returns (final_state, sample_count samples over [0, t_end] or None)."""
+    sample_count: int = 2,
+) -> Trajectory:
+    """Core stepper; returns sample_count equispaced samples over [0, t_end]."""
     if not (t_end > 0 and np.isfinite(t_end)):
         raise ValueError(f"t_end must be finite and positive, got {t_end}")
     if not max_steps >= 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    y = np.array(u0, dtype=float)
-    if not np.isfinite(y).all():
+    start = np.array(u0, dtype=float)
+    if not np.isfinite(start).all():
         raise ValueError("initial state must be finite")
-    t = 0.0
+    y, t = start, 0.0
     f0 = np.asarray(field(y), dtype=float)
     # the field may be large where the state is small: check it for finiteness only
     if not np.isfinite(f0).all():
@@ -134,14 +138,10 @@ def _adaptive_rk45(
     y_norm = float(np.abs(y).max())   # max|y|, carried from step to step
     h = min(t_end, 0.01 * (1.0 + y_norm) / (1.0 + float(np.abs(f0).max())))
 
-    samples = None
+    times = np.linspace(0.0, t_end, sample_count)
+    interior = times[1:-1]            # the only samples dense output computes
+    samples = np.empty((interior.size, y.size))
     next_sample = 0
-    if sample_count is not None:
-        sample_times = np.linspace(0.0, t_end, sample_count)
-        samples = np.empty((len(sample_times), y.size))
-        while next_sample < len(sample_times) and sample_times[next_sample] <= 0.0:
-            samples[next_sample] = y
-            next_sample += 1
 
     k = np.empty((7, y.size))
     k[0] = f0
@@ -152,9 +152,11 @@ def _adaptive_rk45(
         h = min(h, t_end - t)
         if h < _H_MIN:
             raise IntegrationError(f"step size underflow at t = {t:.6g}", "step_underflow", t, y)
-        for i in range(1, 7):
+        for i in range(1, 6):
             k[i] = field(y + h * (_A[i] @ k[:i]))
-        y_new = y + h * (_B5 @ k)
+        # the 5th-order solution is the last stage's node, so its field is that stage
+        y_new = y + h * (_A[6] @ k[:6])
+        k[6] = field(y_new)
         err_vec = h * (_ERR @ k)
         if not (np.isfinite(y_new).all() and np.isfinite(err_vec).all()):
             _guard(t + h, y_new, t, y)
@@ -166,17 +168,17 @@ def _adaptive_rk45(
             # the pre-step time and state, the last good ones
             if y_new_norm > BLOWUP_NORM:
                 raise _blowup(t + h, t, y)
-            if samples is not None and next_sample < len(sample_times):
+            if next_sample < interior.size and interior[next_sample] <= t + h + 1e-15:
                 # dense output over (t, t+h]
                 q = (k.T @ _P) * h
-                while next_sample < len(sample_times) and sample_times[next_sample] <= t + h + 1e-15:
-                    theta = min(1.0, (sample_times[next_sample] - t) / h)
+                while next_sample < interior.size and interior[next_sample] <= t + h + 1e-15:
+                    theta = min(1.0, (interior[next_sample] - t) / h)
                     powers = np.array([theta, theta**2, theta**3, theta**4])
                     samples[next_sample] = y + q @ powers
                     next_sample += 1
             t += h
             y, y_norm = y_new, y_new_norm
-            k[0] = field(y)
+            k[0] = k[6]
             fac = _SAFETY * (err + 1e-20) ** (-_ALPHA) * err_prev ** _BETA
             err_prev = max(err, 1e-4)
             h *= min(_FAC_MAX, max(_FAC_MIN, fac))
@@ -186,12 +188,7 @@ def _adaptive_rk45(
         raise IntegrationError(
             f"exceeded max_steps = {max_steps} before t_end", "max_steps", t, y
         )
-    if samples is None:
-        return y, None
-    while next_sample < len(sample_times):
-        samples[next_sample] = y
-        next_sample += 1
-    return y, Trajectory(times=sample_times, states=samples)
+    return Trajectory(times=times, states=np.vstack([start, samples, y]))
 
 
 def integrate(
@@ -203,15 +200,14 @@ def integrate(
 ) -> Trajectory:
     """Integrate an autonomous field, sampling sample_count equispaced times.
 
-    Samples span [0, t_end] inclusive; the first is the initial state and the
-    last is set to the computed endpoint. More than max_steps step attempts
-    raise IntegrationError.
+    Samples span [0, t_end] inclusive; the first is the initial state, the
+    last the computed endpoint, and the interior ones come from dense output,
+    so sampling never moves the step sequence. More than max_steps step
+    attempts raise IntegrationError.
     """
     if sample_count < 2:
         raise ValueError(f"sample_count must be >= 2, got {sample_count}")
-    final, traj = _adaptive_rk45(field, u0, t_end, max_steps, sample_count)
-    traj.states[-1] = final
-    return traj
+    return _adaptive_rk45(field, u0, t_end, max_steps, sample_count)
 
 
 def integrate_with_variational(
@@ -235,5 +231,5 @@ def integrate_with_variational(
         return np.concatenate([field(state), (field_jacobian(state) @ mat).ravel()])
 
     y0 = np.concatenate([u0, np.eye(n).ravel()])
-    final, _ = _adaptive_rk45(augmented, y0, t_end, max_steps, None)
+    final = _adaptive_rk45(augmented, y0, t_end, max_steps).states[-1]
     return final[:n], final[n:].reshape(n, n)

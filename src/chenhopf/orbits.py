@@ -60,6 +60,7 @@ TRIVIAL_MULTIPLIER_TOL = 1e-5
 DISTINCTNESS_TOL = 1e-6
 
 _PERIOD_TRUST = (0.25, 4.0)     # allowed T range, relative to the seed period
+_STATE_TRUST = 1.0              # allowed max|u - seed|, relative to 1 + max|seed|
 _PENALTY = 1e6
 #: closure tolerance of the limit-cycle Newton. It sits above the one-period
 #: integration error so that an exactly periodic seed (the epsilon = 0 case,
@@ -120,7 +121,11 @@ def shoot(
 ) -> PeriodicOrbit:
     """Newton-shoot a periodic orbit of the standard-form system.
 
-    max_steps bounds each integration of the residual and the Jacobian.
+    max_steps bounds each integration of the residual and the Jacobian. Two
+    trust regions bound the trials: T within _PERIOD_TRUST times seed_period
+    and max|u - seed| within _STATE_TRUST * (1 + max|seed|); a trial outside
+    either gets a penalty residual and is not integrated. The orbit's
+    residual is the closure of the certificate's fresh integration.
 
     Raises ShootingError when Newton does not converge, the multipliers are
     not certified or the certificate gates fail. A Newton failure names its
@@ -138,10 +143,11 @@ def shoot(
     field = lambda s: standard_form_field(config, s)
     jac = lambda s: standard_form_jacobian(config, s)
     t_lo, t_hi = _PERIOD_TRUST[0] * seed_period, _PERIOD_TRUST[1] * seed_period
+    u_radius = _STATE_TRUST * (1.0 + float(np.abs(seed).max()))
 
     def residual(v: np.ndarray) -> np.ndarray:
         u, T = v[:4], v[4]
-        if not (t_lo <= T <= t_hi):
+        if not (t_lo <= T <= t_hi and np.abs(u - seed).max() <= u_radius):
             return np.full(5, _PENALTY * (1.0 + abs(T)))
         end = integrate(field, u, T, max_steps=max_steps).states[-1]
         return np.append(end - u, (u - seed) @ anchor)
@@ -159,8 +165,7 @@ def shoot(
         residual, np.append(seed, seed_period),
         jacobian=jacobian, tol=_SHOOT_TOL, max_iter=max_iter,
     ))
-    orbit = _certified_orbit(config, report, report.root[:4], float(report.root[4]),
-                             report.residual_norm, branch)
+    orbit = _certified_orbit(config, report, report.root[:4], float(report.root[4]), branch)
     # autonomous orbits carry the multiplier 1 exactly
     if orbit.trivial_multiplier_defect() > TRIVIAL_MULTIPLIER_TOL:
         raise ShootingError(
@@ -183,28 +188,24 @@ def _converged(what: str, solve) -> NewtonReport:
 
 
 def _certified_orbit(config: RegimeConfig, report: NewtonReport, state, period: float,
-                     residual: float, branch: int) -> PeriodicOrbit:
-    """The residual gate, then the orbit with certified multipliers; callers gate those."""
+                     branch: int) -> PeriodicOrbit:
+    """One variational run: its gated closure is the residual, its monodromy the multipliers."""
+    end, mono = integrate_with_variational(
+        lambda s: standard_form_field(config, s), lambda s: standard_form_jacobian(config, s),
+        state, period,
+    )
+    residual = float(np.max(np.abs(end - state)))
     if residual > RESIDUAL_GATE:
         raise ShootingError(
             f"residual {residual:.3e} above acceptance gate {RESIDUAL_GATE:.0e}",
             report=report,
         )
     try:
-        multipliers = floquet_multipliers(config, state, period)
+        multipliers = eig4(mono)
     except EigenSolveError as exc:
         raise ShootingError(f"multipliers not certified: {exc}", report=report) from exc
     return PeriodicOrbit(epsilon=config.epsilon, initial_state=state, period=period,
                          residual=residual, multipliers=multipliers, frame="scaled", branch=branch)
-
-
-def floquet_multipliers(config: RegimeConfig, state, duration: float) -> QuarticSpectrum:
-    """Certified eigenvalues of the monodromy matrix over duration from state."""
-    _, mono = integrate_with_variational(
-        lambda s: standard_form_field(config, s), lambda s: standard_form_jacobian(config, s),
-        state, duration,
-    )
-    return eig4(mono)
 
 
 def _solve_both_branches(config: RegimeConfig, solve) -> tuple[PeriodicOrbit, PeriodicOrbit]:
@@ -243,9 +244,7 @@ def find_bifurcating_orbits(config: RegimeConfig) -> tuple[PeriodicOrbit, Period
 
 def _averaged_solution(config: RegimeConfig, seed, t0: float, branch: int) -> PeriodicOrbit:
     report = _converged("equilibrium", lambda: equilibrium_near(config, seed))
-    end = integrate(lambda s: standard_form_field(config, s), report.root, t0).states[-1]
-    closure = float(np.max(np.abs(end - report.root)))
-    orbit = _certified_orbit(config, report, report.root, t0, closure, branch)
+    orbit = _certified_orbit(config, report, report.root, t0, branch)
     if orbit.trivial_multiplier_defect() <= TRIVIAL_MULTIPLIER_TOL:
         raise ShootingError(
             f"not hyperbolic: a Floquet multiplier lies within {TRIVIAL_MULTIPLIER_TOL:.0e} "
@@ -261,8 +260,8 @@ def averaged_periodic_solutions(config: RegimeConfig) -> tuple[PeriodicOrbit, Pe
     Near each averaged zero the T0-periodic solution is unique and is an
     equilibrium of the perturbed field (see the module docstring), so it is
     found by equilibrium_near from the zero. Each solution is then certified
-    as a T0-periodic point: the closure max|phi_T0(u) - u| of one fresh
-    integration below RESIDUAL_GATE (reported as its residual), every Floquet
+    as a T0-periodic point by one variational integration: its closure
+    max|phi_T0(u) - u| below RESIDUAL_GATE (reported as its residual), every Floquet
     multiplier farther than TRIVIAL_MULTIPLIER_TOL from 1 (hyperbolic, the
     numerical form of det Df != 0), and branches farther apart than
     DISTINCTNESS_TOL. At epsilon = 0 every point is T0-periodic, so the

@@ -37,7 +37,7 @@ from chenhopf.chen import (
     origin_char_poly,
     origin_spectrum_gap,
     random_admissible_config,
-    standard_form_field,
+    vector_field_full,
 )
 from chenhopf.integrators import integrate
 from chenhopf.chen import split_standard_form
@@ -166,11 +166,15 @@ def test_criterion_6_periodic_orbits_at_desk_scale():
     The original clause asked for a trivial Floquet multiplier, which a
     solution continuing a simple averaged zero provably cannot carry (see the
     module docstring). Its counterpart here: each solution is an equilibrium
-    of the perturbed field, max|F(u*)| <= 1e-9, and no multiplier lies
-    within 1e-5 of 1.
+    of the perturbed field, and no multiplier lies within 1e-5 of 1. The
+    equilibrium clause is checked independently of the standard-form Newton
+    that found u*: in the original frame, under the full field with (b, r)
+    shrunk by eps, max|F_full(eps*u*)| / eps <= 1e-9 (equal to the
+    standard-form |F(u*)| in exact arithmetic).
     """
     start = time.perf_counter()
     cfg = canonical_config()
+    p = cfg.params
     zeros = averaged_zeros(cfg)
     certified = {1: [], 2: []}
     notes = []
@@ -191,8 +195,9 @@ def test_criterion_6_periodic_orbits_at_desk_scale():
     for branch, rows in certified.items():
         for eps, sol in rows:
             worst_residual = max(worst_residual, sol.residual)
+            full = ChenParams(a=p.a, b=eps * p.b, c=p.a, d=p.d, r=eps * p.r)
             worst_field = max(worst_field, float(np.max(np.abs(
-                standard_form_field(cfg.with_epsilon(eps), sol.initial_state)))))
+                vector_field_full(full, eps * sol.initial_state)))) / eps)
             closest = min(closest, sol.trivial_multiplier_defect())
         if len(rows) < 2:
             ok = False

@@ -136,6 +136,30 @@ def test_shoot_far_seed_never_certifies(rng):
               max_iter=2, max_steps=200_000)
 
 
+def test_shoot_far_seed_stops_inside_the_state_trust_region():
+    # trials far from the seed get the penalty residual and are never
+    # integrated, so the default budgets end on the residual floor, not on
+    # a divergent trajectory's step budget
+    with pytest.raises(ShootingError) as err:
+        shoot(canonical_config(0.01), (10, 10, 10, 10), 2 * np.pi)
+    assert err.value.report.reason in {"stagnated", "line_search_failed"}
+
+
+def test_shoot_gates_the_certifying_closure(monkeypatch):
+    # the certificate's own integration is gated, not the Newton residual,
+    # which at eps = 0 is already below tolerance at the seed
+    real = integrate_with_variational
+
+    def drifted(*args, **kwargs):
+        end, mono = real(*args, **kwargs)
+        return end + 1e-6, mono
+
+    monkeypatch.setattr("chenhopf.orbits.integrate_with_variational", drifted)
+    cfg = canonical_config(0.0)
+    with pytest.raises(ShootingError, match="above acceptance gate"):
+        shoot(cfg, averaged_zeros(cfg)[0].point, period(cfg))
+
+
 # ------------------------------------------------- the honest nonexistence
 
 def test_averaged_zeros_continue_into_equilibria_not_cycles():
