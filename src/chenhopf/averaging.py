@@ -194,11 +194,9 @@ def jacobian_gaps(config: RegimeConfig) -> tuple[float, float]:
     return worst_det, worst_spec
 
 
-def _diagnose(config: RegimeConfig, point: np.ndarray, residual: float,
+def _diagnose(point: np.ndarray, residual: float, jac: np.ndarray,
               det: float, spectrum: QuarticSpectrum) -> AveragedZero:
-    jac = finite_difference_jacobian(
-        lambda v: bifurcation_function(config, v), point, step=_DIAG_FD_STEP
-    )
+    """Attach diagnostics; jac is the Jacobian of the route that located point."""
     scale = max(1.0, float(np.max(np.sum(np.abs(jac), axis=1))) ** 4)
     return AveragedZero(
         point=point,
@@ -217,7 +215,10 @@ def averaged_zeros(config: RegimeConfig) -> tuple[AveragedZero, AveragedZero]:
     out = []
     for point in _zero_points(config):
         residual = float(np.max(np.abs(bifurcation_function(config, point))))
-        out.append(_diagnose(config, point, residual, det, spec))
+        jac = finite_difference_jacobian(
+            lambda v: bifurcation_function(config, v), point, step=_DIAG_FD_STEP
+        )
+        out.append(_diagnose(point, residual, jac, det, spec))
     return out[0], out[1]
 
 
@@ -242,7 +243,7 @@ def refine_zero(
     report = newton_solve(residual, np.asarray(seed, dtype=float), tol=tol, max_iter=40)
     jac = finite_difference_jacobian(residual, report.root, step=_DIAG_FD_STEP)
     det = float(determinant(jac))
-    zero = _diagnose(config, report.root, report.residual_norm, det, eig4(jac))
+    zero = _diagnose(report.root, report.residual_norm, jac, det, eig4(jac))
     return zero, report
 
 

@@ -1,15 +1,13 @@
 """The hyperchaotic Chen vector field and its small-parameter regime.
 
-Three parameterizations of the same model appear here:
+Two parameterizations of the same model appear here:
 
 * the full five-coefficient field (general ``c``),
-* the small-dissipation field where ``b`` and ``r`` enter multiplied by
-  ``epsilon`` (obtained by ``c = a`` and the substitution
-  ``(b, r) -> (eps*b, eps*r)``),
-* the averaging standard form ``u' = L(u) + eps * N(u)`` reached from the
-  previous one by shrinking all four coordinates by ``eps``; the linear part
-  ``L`` keeps only the (x, y) rotation block and the nonlinear part ``N``
-  carries every remaining term.
+* the averaging standard form ``u' = L(u) + eps * N(u)``, reached from the
+  full field by ``c = a``, the small-dissipation substitution
+  ``(b, r) -> (eps*b, eps*r)`` and shrinking all four coordinates by
+  ``eps``; the linear part ``L`` keeps only the (x, y) rotation block and the
+  nonlinear part ``N`` carries every remaining term.
 
 The origin is an equilibrium for every parameter choice; it is a zero-Hopf
 equilibrium (two zero eigenvalues plus a purely imaginary pair) exactly in
@@ -207,27 +205,11 @@ def omega(params: ChenParams) -> float:
     return math.sqrt(rad)
 
 
-def vector_field_scaled(config: RegimeConfig, state) -> np.ndarray:
-    """Field with the dissipation coefficients shrunk by epsilon.
-
-    Identical to the full field with parameters (a, eps*b, a, d, eps*r).
-    """
-    x, y, z, w = _state(state)
-    a, b, d, r = config.params.a, config.params.b, config.params.d, config.params.r
-    eps = config.epsilon
-    return np.array([
-        a * (y - x) + w,
-        d * x + a * y - x * z,
-        x * y - b * eps * z,
-        y * z + r * eps * w,
-    ])
-
-
 def split_standard_form(config: RegimeConfig, state) -> tuple[np.ndarray, np.ndarray]:
     """Linear part and perturbation of the averaging standard form.
 
-    The standard form is reached from the scaled field by shrinking all four
-    coordinates by epsilon; its right-hand side at a state s is
+    The standard form is reached from the full field with parameters
+    (a, eps*b, a, d, eps*r) by shrinking all four coordinates by epsilon; its right-hand side at a state s is
     ``linear + epsilon * perturbation`` for the two arrays returned here.
     The linear part is independent of b, r and epsilon.
     """

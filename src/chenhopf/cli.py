@@ -7,14 +7,16 @@ verification, epsilon sweeps, orbit sampling, and a cross-oracle selftest.
 Exit codes: 0 success, 1 hypothesis violation, 2 numerical failure,
 3 input/IO error. JSON is the machine interface; the default human-readable
 output is a formatting layer over the same data and never contains numbers
-absent from the JSON. Every JSON document embeds a run manifest echoing the
-parameters, so reruns reproduce all numeric fields byte for byte (the
-timestamp lives only inside the manifest).
+absent from the JSON. JSON keys follow the field order of the library
+dataclasses they come from. Every JSON document embeds a run manifest
+echoing the parameters, so reruns reproduce all numeric fields byte for byte
+(the timestamp lives only inside the manifest).
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -49,9 +51,10 @@ from .chen import (
 )
 from .integrators import IntegrationError
 from .linear_flow import inverse_gap
-from .numerics import EigenSolveError, SingularMatrixError, eig4
+from .numerics import EigenSolveError, QuarticSpectrum, SingularMatrixError, eig4
 from .orbits import (
     ShootingError,
+    SweepRow,
     continuation_sweep,
     find_bifurcating_orbits,
     orbit_trajectory,
@@ -96,8 +99,35 @@ def _config(args, epsilon: float | None = None) -> RegimeConfig:
     return RegimeConfig(_params(args), eps)
 
 
-def _cnum(z: complex) -> dict:
-    return {"re": float(z.real), "im": float(z.imag)}
+def _json(value):
+    """JSON form of a library value: dataclasses become dicts in field order."""
+    if isinstance(value, QuarticSpectrum):
+        return [_json(v) for v in value.values]
+    if dataclasses.is_dataclass(value):
+        return {f.name: _json(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, complex):
+        return {"re": float(value.real), "im": float(value.imag)}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value
+
+
+def _csv(header, rows) -> str:
+    """CSV text: None is an empty cell, bools are true/false, floats round-trip."""
+    def cell(value):
+        if value is None:
+            return ""
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, float):
+            return repr(float(value))
+        return value
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([cell(v) for v in row] for row in rows)
+    return buf.getvalue()
 
 
 def _manifest(args, command: str) -> dict:
@@ -127,15 +157,7 @@ def _cmd_check(args) -> int:
     report = check_zero_hopf_conditions(_params(args))
     payload = {
         "manifest": _manifest(args, "check"),
-        "report": {
-            "c_equals_a": report.c_equals_a,
-            "a_times_a_plus_d": report.a_times_a_plus_d,
-            "a_condition_holds": report.a_condition_holds,
-            "b_times_a_plus_d_times_r": report.b_times_a_plus_d_times_r,
-            "b_condition_holds": report.b_condition_holds,
-            "d_nonzero": report.d_nonzero,
-            "overall": report.overall,
-        },
+        "report": _json(report),
     }
     lines = [
         f"c == a                : {report.c_equals_a}",
@@ -158,15 +180,15 @@ def _cmd_spectrum(args) -> int:
     payload = {
         "manifest": _manifest(args, "spectrum"),
         "closed_form": {
-            "lambda1": _cnum(complex(params.r)),
-            "lambda2": _cnum(complex(-params.b)),
-            "lambda3": _cnum(lambda3),
-            "lambda4": _cnum(lambda4),
-            "ordered": [_cnum(v) for v in closed.values],
+            "lambda1": _json(complex(params.r)),
+            "lambda2": _json(complex(-params.b)),
+            "lambda3": _json(lambda3),
+            "lambda4": _json(lambda4),
+            "ordered": _json(closed),
         },
-        "numeric": [_cnum(v) for v in numeric.values],
+        "numeric": _json(numeric),
         "max_deviation": deviation,
-        "char_poly_descending": [float(c) for c in poly],
+        "char_poly_descending": _json(poly),
     }
     lines = ["origin spectrum (closed form | numeric):"]
     for cv, nv in zip(closed.values, numeric.values):
@@ -211,17 +233,6 @@ def _cmd_favg(args) -> int:
     return EXIT_OK
 
 
-def _zero_payload(zero) -> dict:
-    return {
-        "point": [float(v) for v in zero.point],
-        "residual": zero.residual,
-        "det_jacobian": zero.det_jacobian,
-        "spectrum": [_cnum(v) for v in zero.spectrum.values],
-        "simple": zero.simple,
-        "all_negative_real_parts": zero.all_negative_real_parts,
-    }
-
-
 def _cmd_zeros(args) -> int:
     config = _config(args, epsilon=0.0)
     first, second = averaged_zeros(config)
@@ -236,15 +247,15 @@ def _cmd_zeros(args) -> int:
         refined.append((refined_zero, report))
     payload = {
         "manifest": _manifest(args, "zeros"),
-        "closed_form": [_zero_payload(first), _zero_payload(second)],
+        "closed_form": [_json(first), _json(second)],
         "newton_refined": [
-            {**_zero_payload(z), "iterations": rep.iterations, "converged": rep.converged,
+            {**_json(z), "iterations": rep.iterations, "converged": rep.converged,
              "reason": rep.reason}
             for z, rep in refined
         ],
         "det_closed_form": jacobian_determinant(config),
-        "spectrum_closed_form": [_cnum(v) for v in averaged_spectrum(config).values],
-        "verdict": {"theorem_applicable": verdict.theorem_applicable, "note": verdict.note},
+        "spectrum_closed_form": _json(averaged_spectrum(config)),
+        "verdict": _json(verdict),
     }
     lines = []
     for tag, zero in (("first", first), ("second", second)):
@@ -258,16 +269,7 @@ def _cmd_zeros(args) -> int:
 
 
 def _orbit_payload(config, orbit) -> dict:
-    return {
-        "branch": orbit.branch,
-        "epsilon": orbit.epsilon,
-        "frame": orbit.frame,
-        "initial_state": [float(v) for v in orbit.initial_state],
-        "period": orbit.period,
-        "residual": orbit.residual,
-        "multipliers": [_cnum(v) for v in orbit.multipliers.values],
-        "recurrence_defect": recurrence_defect(config, orbit),
-    }
+    return {**_json(orbit), "recurrence_defect": recurrence_defect(config, orbit)}
 
 
 def _cmd_verify(args) -> int:
@@ -300,31 +302,11 @@ def _parse_epsilons(text: str) -> list[float]:
         raise ValueError(f"cannot parse epsilons {text!r}: {exc}") from exc
 
 
-_SWEEP_COLUMNS = ["epsilon", "branch", "distance_to_p", "period_error",
-                  "residual", "max_multiplier_modulus", "converged"]
-
-
-def _sweep_csv(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_SWEEP_COLUMNS)
-    for row in rows:
-        writer.writerow([
-            repr(row.epsilon),
-            row.branch,
-            "" if row.distance_to_p is None else repr(row.distance_to_p),
-            "" if row.period_error is None else repr(row.period_error),
-            "" if row.residual is None else repr(row.residual),
-            "" if row.max_multiplier_modulus is None else repr(row.max_multiplier_modulus),
-            "true" if row.converged else "false",
-        ])
-    return buf.getvalue()
-
-
 def _cmd_sweep(args) -> int:
     config = _config(args, epsilon=0.0)
     result = continuation_sweep(config, _parse_epsilons(args.epsilons))
-    text = _sweep_csv(result.rows)
+    text = _csv([f.name for f in dataclasses.fields(SweepRow)],
+                [dataclasses.astuple(row) for row in result.rows])
     summary = {
         "manifest": _manifest(args, "sweep"),
         "slope_by_branch": {str(k): v for k, v in result.slope_by_branch.items()},
@@ -345,23 +327,21 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_orbit(args) -> int:
+    if args.samples < 2:   # before shooting, which can fail or take long
+        raise ValueError(f"samples must be >= 2, got {args.samples}")
     config = _config(args)
     first, second = find_bifurcating_orbits(config)
     orbit = first if args.branch == 1 else second
     if args.frame == "original":
         orbit = unscale_orbit(orbit)
     traj = orbit_trajectory(config, orbit, samples=args.samples)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t", "x", "y", "z", "w"])
-    for t, state in zip(traj.times, traj.states):
-        writer.writerow([repr(float(t))] + [repr(float(v)) for v in state])
+    text = _csv(["t", "x", "y", "z", "w"], np.column_stack([traj.times, traj.states]).tolist())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(buf.getvalue())
+            fh.write(text)
         print(f"wrote {args.samples} samples to {args.out}")
     else:
-        sys.stdout.write(buf.getvalue())
+        sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -372,26 +352,18 @@ def _selftest_checks(args):
     inverse = max(inverse_gap(cfg, t) for cfg in configs for t in rng.uniform(0, 10, 5))
     origin = max(origin_spectrum_gap(cfg.params) for cfg in configs)
     det, spec = np.max([jacobian_gaps(cfg) for cfg in configs], axis=0)
-    checks = [
+    return [
         ("averaged function: closed vs quadrature", quad, 1e-10),
         ("fundamental matrix times inverse vs identity", inverse, 1e-9),
         ("origin spectrum: closed vs numeric", origin, 1e-8),
         ("averaged det: closed vs finite differences", det, 1e-5),
         ("averaged spectrum: closed vs finite differences", spec, 1e-5),
     ]
-    if args.force_fail:
-        checks.append(("forced failure (harness check)", 1.0, 0.0))
-    return checks
 
 
 def _cmd_selftest(args) -> int:
-    checks = _selftest_checks(args)
-    rows = []
-    ok_all = True
-    for name, value, bound in checks:
-        ok = value <= bound
-        ok_all = ok_all and ok
-        rows.append((name, value, bound, ok))
+    rows = [(name, value, bound, value <= bound) for name, value, bound in _selftest_checks(args)]
+    ok_all = all(ok for *_, ok in rows)
     payload = {
         "manifest": _manifest(args, "selftest"),
         "checks": [
@@ -454,7 +426,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("selftest", help="cross-oracle consistency suite")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--force-fail", action="store_true", help=argparse.SUPPRESS)
 
     return parser
 

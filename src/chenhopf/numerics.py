@@ -85,12 +85,6 @@ class QuarticSpectrum:
             best = min(best, worst)
         return float(best)
 
-    def conjugation_defect(self) -> float:
-        """How far the set is from being closed under conjugation."""
-        return self.match_distance(
-            QuarticSpectrum.from_iterable([v.conjugate() for v in self.values])
-        )
-
     def real_parts(self) -> tuple[float, float, float, float]:
         return tuple(v.real for v in self.values)
 

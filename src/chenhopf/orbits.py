@@ -82,13 +82,13 @@ class ShootingError(RuntimeError):
 class PeriodicOrbit:
     """A numerically certified periodic solution."""
 
+    branch: int                   # 1 or 2; 0 for direct unlabelled shots
     epsilon: float
+    frame: str                    # "scaled" or "original"
     initial_state: np.ndarray
     period: float
     residual: float
     multipliers: QuarticSpectrum
-    frame: str                    # "scaled" or "original"
-    branch: int                   # 1 or 2; 0 for direct unlabelled shots
 
     def trivial_multiplier_defect(self) -> float:
         return min(abs(m - 1.0) for m in self.multipliers.values)
@@ -292,6 +292,8 @@ def continuation_sweep(config: RegimeConfig, epsilons) -> SweepResult:
     eps_list = [float(e) for e in epsilons]
     if not eps_list:
         raise ValueError("need at least one epsilon")
+    if not np.isfinite(eps_list).all():
+        raise ValueError(f"epsilons must be finite, got {eps_list}")
     if not all(e > 0 for e in eps_list):
         raise ValueError(f"epsilons must be strictly positive, got {eps_list}")
     if any(b <= a for a, b in zip(eps_list, eps_list[1:])):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chenhopf import averaging
 from chenhopf.averaging import (
     averaged_spectrum,
     averaged_zeros,
@@ -142,6 +143,20 @@ def test_refine_quadrature_route_agrees_with_closed(canonical, rng):
     assert np.max(np.abs(closed.point - quad.point)) < 1e-8
 
 
+def test_refine_quadrature_route_never_consults_the_closed_form(canonical, monkeypatch):
+    # the quadrature route's diagnostics come from its own Jacobian
+    first, _ = averaged_zeros(canonical)
+
+    def closed_form_used(*args, **kwargs):
+        raise AssertionError("quadrature route called bifurcation_function")
+
+    monkeypatch.setattr(averaging, "bifurcation_function", closed_form_used)
+    zero, report = refine_zero(canonical, first.point + 0.01, use_quadrature=True, tol=1e-12)
+    assert report.converged
+    assert np.max(np.abs(zero.point - first.point)) < 1e-8
+    assert zero.simple
+
+
 # ------------------------------------------------------------ jacobian data
 
 def test_determinant_canonical_value(canonical):
@@ -179,7 +194,8 @@ def test_spectrum_pair_real_parts_are_half_r(rng):
 def test_spectrum_is_conjugation_closed(rng):
     for _ in range(10):
         cfg = random_admissible_config(rng)
-        assert averaged_spectrum(cfg).conjugation_defect() < 1e-12
+        spec = averaged_spectrum(cfg)
+        assert spec.match_distance(QuarticSpectrum.from_iterable(np.conj(spec.values))) < 1e-12
 
 
 def test_spectrum_product_equals_determinant(rng):

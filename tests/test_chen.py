@@ -21,7 +21,6 @@ from chenhopf.chen import (
     standard_form_field,
     standard_form_jacobian,
     vector_field_full,
-    vector_field_scaled,
 )
 from chenhopf.numerics import (
     QuarticSpectrum,
@@ -75,7 +74,6 @@ def test_field_rejects_nonfinite_state():
 _STATE_FUNCTIONS = {
     "vector_field_full": lambda s: vector_field_full(PARAMS, s),
     "jacobian_full": lambda s: jacobian_full(PARAMS, s),
-    "vector_field_scaled": lambda s: vector_field_scaled(canonical_config(0.01), s),
     "split_standard_form": lambda s: split_standard_form(canonical_config(0.01), s),
     "standard_form_field": lambda s: standard_form_field(canonical_config(0.01), s),
     "standard_form_jacobian": lambda s: standard_form_jacobian(canonical_config(0.01), s),
@@ -233,37 +231,7 @@ def test_regime_config_validation():
         RegimeConfig(ChenParams(-1.0, 1.0, -1.0, 0.0, 1.0))       # d == 0
 
 
-# ------------------------------------------------------------ scaled / split forms
-
-def test_scaled_field_epsilon_zero_drops_dissipation(rng):
-    cfg = canonical_config(0.0)
-    for _ in range(10):
-        s = rng.uniform(-2, 2, 4)
-        out = vector_field_scaled(cfg, s)
-        assert out[2] == s[0] * s[1]
-        assert out[3] == s[1] * s[2]
-
-
-def test_scaled_field_is_full_field_with_shrunk_coefficients(rng):
-    for eps in (0.0, 0.1, 1.0):
-        cfg = canonical_config(eps)
-        p = cfg.params
-        shrunk = ChenParams(a=p.a, b=eps * p.b, c=p.a, d=p.d, r=eps * p.r)
-        for _ in range(20):
-            s = rng.uniform(-2, 2, 4)
-            assert np.allclose(
-                vector_field_scaled(cfg, s), vector_field_full(shrunk, s), atol=1e-14
-            )
-
-
-def test_scaled_field_hand_substitution():
-    # (a=-1, b=1, d=2, r=1, eps=0.1) at (1,1,1,1):
-    #   x: a(y-x)+w = 1;  y: dx+ay-xz = 2-1-1 = 0
-    #   z: xy - b*eps*z = 1-0.1 = 0.9;  w: yz + r*eps*w = 1+0.1 = 1.1
-    cfg = RegimeConfig.make(a=-1.0, b=1.0, d=2.0, r=1.0, epsilon=0.1)
-    out = vector_field_scaled(cfg, [1.0, 1.0, 1.0, 1.0])
-    assert np.allclose(out, [1.0, 0.0, 0.9, 1.1], atol=1e-15)
-
+# ------------------------------------------------------------ split / standard forms
 
 def test_split_perturbation_on_xy_plane_zeroed_states(rng):
     cfg = canonical_config()
@@ -314,13 +282,16 @@ def test_standard_form_field_is_bit_identical_to_its_split(rng):
 
 
 def test_standard_form_is_rescaled_scaled_field(rng):
-    # shrinking coordinates by eps maps the scaled field onto the standard form
+    # shrinking coordinates by eps maps the full field with dissipation
+    # coefficients (eps*b, eps*r) onto the standard form
     for eps in (0.1, 0.02):
         cfg = canonical_config(eps)
+        p = cfg.params
+        shrunk = ChenParams(a=p.a, b=eps * p.b, c=p.a, d=p.d, r=eps * p.r)
         for _ in range(20):
             s = rng.uniform(-2, 2, 4)
             lhs = eps * standard_form_field(cfg, s)
-            rhs = vector_field_scaled(cfg, eps * s)
+            rhs = vector_field_full(shrunk, eps * s)
             assert np.max(np.abs(lhs - rhs)) < 1e-14
 
 

@@ -237,6 +237,14 @@ def test_orbit_shoot_failure_exits_2(capsys):
     assert code == 2
 
 
+def test_orbit_single_sample_exits_3_before_shooting(capsys):
+    # at the default epsilon shooting would refuse first and exit 2
+    code, out, err = run(capsys, "orbit", "--samples", "1")
+    assert code == 3
+    assert out == ""
+    assert err.strip() == "input error: samples must be >= 2, got 1"
+
+
 # ------------------------------------------------------------ selftest
 
 def test_selftest_passes_quickly(capsys):
@@ -253,12 +261,6 @@ def test_selftest_seed_reproducibility(capsys):
     payload1["manifest"].pop("timestamp")
     payload2["manifest"].pop("timestamp")
     assert payload1 == payload2
-
-
-def test_selftest_forced_failure_exits_2(capsys):
-    code, _, err = run(capsys, "selftest", "--force-fail")
-    assert code == 2
-    assert "forced failure" in err
 
 
 def _shifted(real, delta):
@@ -287,10 +289,11 @@ def test_selftest_fails_when_one_route_is_perturbed(capsys, monkeypatch, module,
                                                     delta, check):
     # each library check compares two routes; perturbing one must fail its row
     monkeypatch.setattr(module, name, _shifted(getattr(module, name), delta))
-    code, payload, _ = run_json(capsys, "selftest")
+    code, payload, err = run_json(capsys, "selftest")
     assert code == 2
     row = next(row for row in payload["checks"] if row["name"] == check)
     assert row["value"] > row["bound"] and row["pass"] is False
+    assert err.strip() == f"selftest failed: {check}"
 
 
 # ------------------------------------------------------------ reproducibility
@@ -314,3 +317,78 @@ def test_every_json_payload_embeds_manifest(capsys):
         assert manifest["command"] == argv[0]
         assert manifest["version"]
         assert "parameters" in manifest
+
+
+def _key_order(doc, path="$", out=None):
+    """Each object's keys in doc, by path; the items of a list share the path "[]"."""
+    out = {} if out is None else out
+    if isinstance(doc, dict):
+        assert out.setdefault(path, list(doc)) == list(doc), path
+        for key, value in doc.items():
+            _key_order(value, f"{path}.{key}", out)
+    elif isinstance(doc, list):
+        for item in doc:
+            _key_order(item, f"{path}[]", out)
+    return out
+
+
+_MANIFEST = ["command", "parameters", "version", "timestamp"]
+_COMPLEX = ["re", "im"]
+_ZERO = ["point", "residual", "det_jacobian", "spectrum", "simple", "all_negative_real_parts"]
+
+
+def test_json_key_order_is_pinned(capsys):
+    # key order is part of the interface and, unlike golden values, does not
+    # depend on the BLAS build; nested keys follow the library dataclasses
+    expected = {
+        "check": {
+            "$": ["manifest", "report"],
+            "$.manifest.parameters": ["a", "b", "c", "d", "r"],
+            "$.report": ["c_equals_a", "a_times_a_plus_d", "a_condition_holds",
+                         "b_times_a_plus_d_times_r", "b_condition_holds", "d_nonzero",
+                         "overall"],
+        },
+        "spectrum": {
+            "$": ["manifest", "closed_form", "numeric", "max_deviation",
+                  "char_poly_descending"],
+            "$.manifest.parameters": ["a", "b", "c", "d", "r"],
+            "$.closed_form": ["lambda1", "lambda2", "lambda3", "lambda4", "ordered"],
+            **{f"$.closed_form.lambda{i}": _COMPLEX for i in (1, 2, 3, 4)},
+            "$.closed_form.ordered[]": _COMPLEX,
+            "$.numeric[]": _COMPLEX,
+        },
+        "favg": {
+            "$": ["manifest", "closed", "quadrature", "discrepancy"],
+            "$.manifest.parameters": ["a", "b", "c", "d", "r", "nodes", "method", "point"],
+            "$.closed": ["f1", "f2", "f3", "f4"],
+            "$.quadrature": ["f1", "f2", "f3", "f4"],
+        },
+        "zeros": {
+            "$": ["manifest", "closed_form", "newton_refined", "det_closed_form",
+                  "spectrum_closed_form", "verdict"],
+            "$.manifest.parameters": ["a", "b", "c", "d", "r", "tol", "seed"],
+            "$.closed_form[]": _ZERO,
+            "$.closed_form[].spectrum[]": _COMPLEX,
+            "$.newton_refined[]": _ZERO + ["iterations", "converged", "reason"],
+            "$.newton_refined[].spectrum[]": _COMPLEX,
+            "$.spectrum_closed_form[]": _COMPLEX,
+            "$.verdict": ["theorem_applicable", "note"],
+        },
+        "verify": {
+            "$": ["manifest", "scaled"],
+            "$.manifest.parameters": ["a", "b", "c", "d", "r", "epsilon"],
+            "$.scaled[]": ["branch", "epsilon", "frame", "initial_state", "period",
+                           "residual", "multipliers", "recurrence_defect"],
+            "$.scaled[].multipliers[]": _COMPLEX,
+        },
+        "selftest": {
+            "$": ["manifest", "checks", "pass"],
+            "$.manifest.parameters": ["seed"],
+            "$.checks[]": ["name", "value", "bound", "pass"],
+        },
+    }
+    for argv in (["check"], ["spectrum"], ["favg", "--point", "1,0,0,0"],
+                 ["zeros"], ["verify", "--epsilon", "0"], ["selftest"]):
+        code, payload, _ = run_json(capsys, *argv)
+        assert code == 0
+        assert _key_order(payload) == {"$.manifest": _MANIFEST, **expected[argv[0]]}, argv

@@ -281,6 +281,8 @@ def test_sweep_validates_epsilon_grid():
         continuation_sweep(cfg, [0.01, 0.005])
     with pytest.raises(ValueError):
         continuation_sweep(cfg, [0.0, 0.01])
+    with pytest.raises(ValueError, match="epsilons must be finite"):   # before any shooting
+        continuation_sweep(cfg, [0.01, np.inf])
 
 
 # ------------------------------------------------------------ frame mapping
