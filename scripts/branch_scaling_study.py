@@ -15,10 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from chenhopf.averaging import averaged_spectrum, averaged_zeros
+from chenhopf.averaging import averaged_spectrum, averaged_zero_points
 from chenhopf.chen import canonical_config, random_admissible_config
 from chenhopf.numerics import QuarticSpectrum
-from chenhopf.orbits import averaged_periodic_solutions
+from chenhopf.orbits import averaged_periodic_solution
 
 EPS_GRID = [0.0025, 0.005, 0.01, 0.02, 0.04, 0.08]
 OUT = Path(__file__).resolve().parent.parent / "out"
@@ -32,16 +32,16 @@ def main() -> int:
 
     rows = []
     for name, cfg in configs:
-        zero = averaged_zeros(cfg)[0]
+        zero = averaged_zero_points(cfg)[0]
         spec = averaged_spectrum(cfg)
         for eps in EPS_GRID:
-            solution = averaged_periodic_solutions(cfg.with_epsilon(eps))[0]
+            solution = averaged_periodic_solution(cfg.with_epsilon(eps), 1)
             predicted = QuarticSpectrum.from_iterable(
                 [np.exp(eps * solution.period * lam) for lam in spec.values])
             rows.append({
                 "set": name,
                 "epsilon": eps,
-                "distance_to_zero": float(np.linalg.norm(solution.initial_state - zero.point)),
+                "distance_to_zero": float(np.linalg.norm(solution.initial_state - zero)),
                 "multiplier_prediction_error": solution.multipliers.match_distance(predicted),
             })
 

@@ -24,7 +24,7 @@ from chenhopf.averaging import (
     stability_verdict,
 )
 from chenhopf.chen import canonical_config, check_zero_hopf_conditions
-from chenhopf.orbits import averaged_periodic_solutions, continuation_sweep
+from chenhopf.orbits import averaged_periodic_solution, continuation_sweep
 
 EPS_GRID = [0.005, 0.01, 0.02, 0.04]
 OUT = Path(__file__).resolve().parent.parent / "out"
@@ -57,7 +57,7 @@ def main() -> int:
     print("== invariant branch through the zeros ==")
     branch_rows = []
     for eps in EPS_GRID:
-        solution = averaged_periodic_solutions(cfg.with_epsilon(eps))[0]
+        solution = averaged_periodic_solution(cfg.with_epsilon(eps), 1)
         dist = float(np.linalg.norm(solution.initial_state - first.point))
         trivial_gap = solution.trivial_multiplier_defect()
         branch_rows.append({"epsilon": eps, "distance_to_zero": dist,

@@ -131,7 +131,8 @@ def quadrature_gap(config: RegimeConfig, points) -> float:
     return worst
 
 
-def _zero_points(config: RegimeConfig) -> tuple[np.ndarray, np.ndarray]:
+def averaged_zero_points(config: RegimeConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Both nontrivial zeros in closed form, branch 1 first; no diagnostics."""
     p = config.params
     a, b, d, r = p.a, p.b, p.d, p.r
     gate = b * (a + d) * r
@@ -186,7 +187,7 @@ def jacobian_gaps(config: RegimeConfig) -> tuple[float, float]:
     det_closed = jacobian_determinant(config)
     spec_closed = averaged_spectrum(config)
     worst_det, worst_spec = 0.0, 0.0
-    for point in _zero_points(config):
+    for point in averaged_zero_points(config):
         jac = finite_difference_jacobian(
             lambda v: bifurcation_function(config, v), point, step=_DIAG_FD_STEP)
         worst_det = max(worst_det, abs(float(determinant(jac)) - det_closed) / abs(det_closed))
@@ -213,7 +214,7 @@ def averaged_zeros(config: RegimeConfig) -> tuple[AveragedZero, AveragedZero]:
     det = jacobian_determinant(config)
     spec = averaged_spectrum(config)
     out = []
-    for point in _zero_points(config):
+    for point in averaged_zero_points(config):
         residual = float(np.max(np.abs(bifurcation_function(config, point))))
         jac = finite_difference_jacobian(
             lambda v: bifurcation_function(config, v), point, step=_DIAG_FD_STEP

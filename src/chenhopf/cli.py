@@ -55,6 +55,7 @@ from .numerics import EigenSolveError, QuarticSpectrum, SingularMatrixError, eig
 from .orbits import (
     ShootingError,
     SweepRow,
+    bifurcating_orbit,
     continuation_sweep,
     find_bifurcating_orbits,
     orbit_trajectory,
@@ -330,8 +331,7 @@ def _cmd_orbit(args) -> int:
     if args.samples < 2:   # before shooting, which can fail or take long
         raise ValueError(f"samples must be >= 2, got {args.samples}")
     config = _config(args)
-    first, second = find_bifurcating_orbits(config)
-    orbit = first if args.branch == 1 else second
+    orbit = bifurcating_orbit(config, args.branch)
     if args.frame == "original":
         orbit = unscale_orbit(orbit)
     traj = orbit_trajectory(config, orbit, samples=args.samples)

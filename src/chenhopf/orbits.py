@@ -3,12 +3,12 @@
 Two solvers live here, because the averaging theorem and a limit-cycle claim
 ask for different objects.
 
-`averaged_periodic_solutions` computes what first-order averaging promises:
-for each simple zero p of the averaged function f, a solution of period
-exactly T0 = 2*pi/Omega that tends to p as epsilon -> 0. Near p the
-averaging expansion gives D(phi_T0) - I = epsilon*T0*Df(p) + O(epsilon^2),
-which is nonsingular when det Df(p) != 0, so the T0-periodic point near p is
-unique.
+`averaged_periodic_solution` computes what first-order averaging promises:
+for the simple zero p of the averaged function f that a branch (1 or 2)
+names, a solution of period exactly T0 = 2*pi/Omega that tends to p as
+epsilon -> 0. Near p the averaging expansion gives D(phi_T0) - I =
+epsilon*T0*Df(p) + O(epsilon^2), which is nonsingular when det Df(p) != 0,
+so the T0-periodic point near p is unique.
 
 That point is an equilibrium. For any T-periodic solution u of an
 autonomous field F, the return map satisfies D(phi_T)(u0) F(u0) = F(u0);
@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .averaging import averaged_zeros
+from .averaging import averaged_zero_points
 from .chen import (
     ChenParams,
     RegimeConfig,
@@ -72,10 +72,9 @@ _SHOOT_TOL = 3e-10
 class ShootingError(RuntimeError):
     """Shooting did not certify an orbit; carries whatever diagnostics exist."""
 
-    def __init__(self, message: str, report=None, partial=None):
+    def __init__(self, message: str, report=None):
         super().__init__(message)
         self.report = report
-        self.partial = partial
 
 
 @dataclass(frozen=True)
@@ -208,41 +207,58 @@ def _certified_orbit(config: RegimeConfig, report: NewtonReport, state, period: 
                          residual=residual, multipliers=multipliers, frame="scaled", branch=branch)
 
 
-def _solve_both_branches(config: RegimeConfig, solve) -> tuple[PeriodicOrbit, PeriodicOrbit]:
-    """Run solve(seed, t0, branch) from each averaged zero; require distinct results."""
-    zeros = averaged_zeros(config)
-    t0 = period(config)
+def _branch_seed(config: RegimeConfig, branch: int) -> tuple[np.ndarray, float]:
+    """The closed-form averaged zero of branch 1 or 2, and the period T0."""
+    if branch not in (1, 2):
+        raise ValueError(f"branch must be 1 or 2, got {branch}")
+    t0 = period(config)  # the elliptic-regime refusal comes before "zeros not real"
+    return averaged_zero_points(config)[branch - 1], t0
+
+
+def _both_branches(solve, config: RegimeConfig) -> tuple[PeriodicOrbit, PeriodicOrbit]:
+    """solve(config, branch) for branches 1 and 2, failures labelled; require distinct results."""
     orbits = []
-    for branch, zero in enumerate(zeros, start=1):
+    for branch in (1, 2):
         try:
-            orbits.append(solve(zero.point, t0, branch))
+            orbits.append(solve(config, branch))
         except (ShootingError, IntegrationError) as exc:
-            raise ShootingError(
-                f"branch {branch} failed: {exc}",
-                partial=tuple(orbits),
-            ) from exc
+            raise ShootingError(f"branch {branch} failed: {exc}") from exc
     sep = float(np.linalg.norm(orbits[0].initial_state - orbits[1].initial_state))
     if sep <= DISTINCTNESS_TOL:
-        raise ShootingError(
-            f"branches collapsed: |u1 - u2| = {sep:.3e} <= {DISTINCTNESS_TOL:.0e}",
-            partial=tuple(orbits),
-        )
+        raise ShootingError(f"branches collapsed: |u1 - u2| = {sep:.3e} <= {DISTINCTNESS_TOL:.0e}")
     return orbits[0], orbits[1]
 
 
-def find_bifurcating_orbits(config: RegimeConfig) -> tuple[PeriodicOrbit, PeriodicOrbit]:
-    """Shoot both orbits seeded at the averaged zeros.
+def bifurcating_orbit(config: RegimeConfig, branch: int) -> PeriodicOrbit:
+    """Shoot the orbit of branch 1 or 2 from its averaged zero with period T0.
 
-    At epsilon = 0 the seeds are already periodic points of the isochronous
-    system and come back unchanged.
+    At epsilon = 0 the seed is already periodic and comes back unchanged.
     """
-    return _solve_both_branches(
-        config,
-        lambda seed, t0, branch: shoot(config, seed, t0, branch=branch),
-    )
+    seed, t0 = _branch_seed(config, branch)
+    return shoot(config, seed, t0, branch=branch)
 
 
-def _averaged_solution(config: RegimeConfig, seed, t0: float, branch: int) -> PeriodicOrbit:
+def find_bifurcating_orbits(config: RegimeConfig) -> tuple[PeriodicOrbit, PeriodicOrbit]:
+    """Both bifurcating_orbit branches, labelled on failure and required distinct."""
+    return _both_branches(bifurcating_orbit, config)
+
+
+def averaged_periodic_solution(config: RegimeConfig, branch: int) -> PeriodicOrbit:
+    """The T0-periodic solution that first-order averaging guarantees near one zero.
+
+    Near the averaged zero of branch 1 or 2 the T0-periodic solution is
+    unique and is an equilibrium of the perturbed field (see the module
+    docstring), so it is found by equilibrium_near from the zero. One
+    variational integration certifies it as a T0-periodic point: its closure
+    max|phi_T0(u) - u| below RESIDUAL_GATE (reported as its residual), and
+    every Floquet multiplier farther than TRIVIAL_MULTIPLIER_TOL from 1
+    (hyperbolic, the numerical form of det Df != 0). At epsilon = 0 every
+    point is T0-periodic, so the hyperbolicity gate refuses.
+
+    Raises RegimeError outside the zero-Hopf regime, ValueError for a branch
+    other than 1 or 2, and ShootingError when the solve or a gate fails.
+    """
+    seed, t0 = _branch_seed(config, branch)
     report = _converged("equilibrium", lambda: equilibrium_near(config, seed))
     orbit = _certified_orbit(config, report, report.root, t0, branch)
     if orbit.trivial_multiplier_defect() <= TRIVIAL_MULTIPLIER_TOL:
@@ -255,24 +271,8 @@ def _averaged_solution(config: RegimeConfig, seed, t0: float, branch: int) -> Pe
 
 
 def averaged_periodic_solutions(config: RegimeConfig) -> tuple[PeriodicOrbit, PeriodicOrbit]:
-    """The T0-periodic solutions that first-order averaging guarantees.
-
-    Near each averaged zero the T0-periodic solution is unique and is an
-    equilibrium of the perturbed field (see the module docstring), so it is
-    found by equilibrium_near from the zero. Each solution is then certified
-    as a T0-periodic point by one variational integration: its closure
-    max|phi_T0(u) - u| below RESIDUAL_GATE (reported as its residual), every Floquet
-    multiplier farther than TRIVIAL_MULTIPLIER_TOL from 1 (hyperbolic, the
-    numerical form of det Df != 0), and branches farther apart than
-    DISTINCTNESS_TOL. At epsilon = 0 every point is T0-periodic, so the
-    hyperbolicity gate refuses.
-
-    Raises RegimeError for parameters outside the zero-Hopf regime and
-    ShootingError when a solve or a gate fails.
-    """
-    return _solve_both_branches(
-        config, lambda seed, t0, branch: _averaged_solution(config, seed, t0, branch)
-    )
+    """Both averaged_periodic_solution branches, labelled on failure and required distinct."""
+    return _both_branches(averaged_periodic_solution, config)
 
 
 def equilibrium_near(config: RegimeConfig, point) -> NewtonReport:
@@ -298,13 +298,11 @@ def continuation_sweep(config: RegimeConfig, epsilons) -> SweepResult:
         raise ValueError(f"epsilons must be strictly positive, got {eps_list}")
     if any(b <= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError(f"epsilons must be strictly ascending, got {eps_list}")
-    zeros = averaged_zeros(config)
-    t0 = period(config)
-
     rows: list[SweepRow] = []
     slopes: dict[int, float | None] = {}
-    for branch, zero in enumerate(zeros, start=1):
-        seed_u, seed_t = zero.point, t0
+    for branch in (1, 2):
+        zero, t0 = _branch_seed(config, branch)
+        seed_u, seed_t = zero, t0
         eps_ok, dist_ok = [], []
         branch_rows = []
         for eps in eps_list:
@@ -318,7 +316,7 @@ def continuation_sweep(config: RegimeConfig, epsilons) -> SweepResult:
                     max_multiplier_modulus=None, converged=False,
                 ))
                 continue
-            dist = float(np.linalg.norm(orbit.initial_state - zero.point))
+            dist = float(np.linalg.norm(orbit.initial_state - zero))
             branch_rows.append(SweepRow(
                 epsilon=eps,
                 branch=branch,

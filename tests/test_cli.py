@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from chenhopf import averaging, chen, linear_flow
+from chenhopf import averaging, chen, linear_flow, orbits
 from chenhopf.cli import main
 from chenhopf.numerics import QuarticSpectrum
 
@@ -218,13 +218,18 @@ def test_orbit_csv_at_epsilon_zero(capsys):
 
 
 def test_orbit_original_frame_is_epsilon_times_scaled(capsys):
-    code, scaled_out, _ = run(capsys, "orbit", "--epsilon", "0", "--samples", "10",
-                              "--frame", "scaled")
-    assert code == 0
-    # at epsilon = 0 the original frame collapses to the origin; use the
-    # frame identity on the scaled rows instead
-    rows = list(csv.reader(io.StringIO(scaled_out)))[1:]
-    assert len(rows) == 10
+    tables = {}
+    for frame in ("scaled", "original"):
+        code, out, _ = run(capsys, "orbit", "--epsilon", "0", "--samples", "10",
+                           "--frame", frame)
+        assert code == 0
+        tables[frame] = np.array(list(csv.reader(io.StringIO(out)))[1:], dtype=float)
+    scaled, original = tables["scaled"], tables["original"]
+    assert scaled.shape == original.shape == (10, 5)
+    assert np.array_equal(original[:, 0], scaled[:, 0])
+    # epsilon times the scaled states: at epsilon = 0 that is the origin
+    assert np.all(original[:, 1:] == 0.0)
+    assert np.any(scaled[:, 1:] != 0.0)
 
 
 def test_orbit_invalid_branch_exits_3(capsys):
@@ -232,9 +237,28 @@ def test_orbit_invalid_branch_exits_3(capsys):
     assert code == 3
 
 
-def test_orbit_shoot_failure_exits_2(capsys):
-    code, _, err = run(capsys, "orbit", "--epsilon", "0.01")
+@pytest.mark.parametrize("branch", ["1", "2"])
+def test_orbit_shoot_failure_exits_2(capsys, branch):
+    code, _, err = run(capsys, "orbit", "--epsilon", "0.01", "--branch", branch)
     assert code == 2
+    assert err.startswith("numerical failure")
+    # only the requested branch is shot, so no other branch is named
+    other = "2" if branch == "1" else "1"
+    assert f"branch {other}" not in err
+
+
+def test_orbit_shoots_only_the_requested_branch(capsys, monkeypatch):
+    shots = []
+    real = orbits.shoot
+
+    def counting(*args, **kwargs):
+        shots.append(kwargs.get("branch"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr("chenhopf.orbits.shoot", counting)
+    code, _, _ = run(capsys, "orbit", "--epsilon", "0", "--branch", "2", "--samples", "5")
+    assert code == 0
+    assert shots == [2]
 
 
 def test_orbit_single_sample_exits_3_before_shooting(capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,9 @@ from chenhopf.numerics import EigenSolveError, QuarticSpectrum, eig4, newton_sol
 from chenhopf.orbits import (
     PeriodicOrbit,
     ShootingError,
+    averaged_periodic_solution,
     averaged_periodic_solutions,
+    bifurcating_orbit,
     continuation_sweep,
     equilibrium_near,
     find_bifurcating_orbits,
@@ -242,7 +246,13 @@ def test_averaged_periodic_solutions_are_the_equilibria_at_period_T0():
     cfg = canonical_config(0.01)
     first, second = averaged_periodic_solutions(cfg)
     assert (first.branch, second.branch) == (1, 2)
-    for sol, zero in zip((first, second), averaged_zeros(cfg)):
+    for branch, sol, zero in zip((1, 2), (first, second), averaged_zeros(cfg)):
+        # the per-branch solve gives the same solution, field for field
+        single = averaged_periodic_solution(cfg, branch)
+        for field in dataclasses.fields(PeriodicOrbit):
+            mine, theirs = getattr(single, field.name), getattr(sol, field.name)
+            same = np.array_equal(mine, theirs) if isinstance(mine, np.ndarray) else mine == theirs
+            assert same, field.name
         assert sol.period == period(cfg)
         assert sol.frame == "scaled"
         # the T0-periodic point found without assuming an equilibrium
@@ -271,6 +281,13 @@ def test_averaged_periodic_solutions_refuse_eps_zero_and_inadmissible():
     bad = RegimeConfig.make(a=-1.0, b=1.0, d=2.0, r=1.0, epsilon=0.01)
     with pytest.raises(RegimeError, match=r"b\*\(a\+d\)\*r"):
         averaged_periodic_solutions(bad)
+
+
+@pytest.mark.parametrize("solve", [averaged_periodic_solution, bifurcating_orbit])
+@pytest.mark.parametrize("branch", [0, 3])
+def test_per_branch_solvers_reject_unknown_branches(solve, branch):
+    with pytest.raises(ValueError, match="branch must be 1 or 2"):
+        solve(canonical_config(0.01), branch)
 
 
 def test_sweep_validates_epsilon_grid():
