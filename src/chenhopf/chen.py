@@ -94,9 +94,9 @@ def canonical_config(epsilon: float = 0.0) -> RegimeConfig:
 def _state(state) -> list[float]:
     """The four components of a finite 4-vector as Python floats.
 
-    Every field and Jacobian below validates through here. Checking four
-    floats with math.isfinite costs a fraction of an array-wide isfinite, and
-    scalar arithmetic on Python floats gives the same IEEE results.
+    Every field and Jacobian below, and linear_flow's rotating pair, validates
+    through here. Checking four floats with math.isfinite costs a fraction of
+    an array-wide isfinite; Python-float arithmetic gives the same IEEE results.
     """
     s = np.asarray(state, dtype=float)
     if s.shape != (4,):

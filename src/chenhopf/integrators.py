@@ -16,20 +16,23 @@ Which guard runs where:
 * before the first step: t_end, max_steps and the initial state are
   validated (ValueError), and the field at t = 0 must be finite
   ("non_finite"; it may exceed BLOWUP_NORM where the state is small);
-* each step attempt: the proposed state and error estimate are checked for
-  finiteness ("non_finite", or "blowup" if only the error estimate is not
-  finite and the state is past BLOWUP_NORM), and h must stay above a tiny
-  floor ("step_underflow");
+* each step attempt: the max-norms of the proposed state and error
+  estimate, which carry NaN and inf, are checked for finiteness
+  ("non_finite", or "blowup" if only the error estimate is not finite and
+  the state is past BLOWUP_NORM), and h must stay above a tiny floor
+  ("step_underflow");
 * each accepted step: only the blow-up test, on the max|y| the error norm
   already computed, since finiteness was checked before acceptance;
 * the loop as a whole: at most max_steps step attempts ("max_steps").
 
-Every IntegrationError carries the last good time and state, from before
-the failing step. The fields validate their own input (chen._state), so
-every right-hand-side call still rejects a non-finite state.
+Fields are called as field(t, y), stage i at t + _C[i] * h. Every
+IntegrationError carries the last good time and state, from before the
+failing step. The fields validate their own input (chen._state), so every
+right-hand-side call still rejects a non-finite state.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -53,7 +56,7 @@ _FAC_MIN, _FAC_MAX = 0.2, 5.0
 _ALPHA, _BETA = 0.7 / 5.0, 0.4 / 5.0
 
 # Dormand-Prince 5(4) tableau
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _A = [
     np.array([]),
     np.array([1 / 5]),
@@ -116,7 +119,7 @@ def _guard(t: float, y: np.ndarray, t_last: float, y_last: np.ndarray) -> None:
 
 
 def _adaptive_rk45(
-    field: Callable[[np.ndarray], np.ndarray],
+    field: Callable[[float, np.ndarray], np.ndarray],
     u0: np.ndarray,
     t_end: float,
     max_steps: int,
@@ -131,7 +134,7 @@ def _adaptive_rk45(
     if not np.isfinite(start).all():
         raise ValueError("initial state must be finite")
     y, t = start, 0.0
-    f0 = np.asarray(field(y), dtype=float)
+    f0 = np.asarray(field(0.0, y), dtype=float)
     # the field may be large where the state is small: check it for finiteness only
     if not np.isfinite(f0).all():
         raise IntegrationError("field is non-finite at t = 0", "non_finite", 0.0, y)
@@ -153,16 +156,17 @@ def _adaptive_rk45(
         if h < _H_MIN:
             raise IntegrationError(f"step size underflow at t = {t:.6g}", "step_underflow", t, y)
         for i in range(1, 6):
-            k[i] = field(y + h * (_A[i] @ k[:i]))
+            k[i] = field(t + _C[i] * h, y + h * (_A[i] @ k[:i]))
         # the 5th-order solution is the last stage's node, so its field is that stage
         y_new = y + h * (_A[6] @ k[:6])
-        k[6] = field(y_new)
+        k[6] = field(t + h, y_new)
         err_vec = h * (_ERR @ k)
-        if not (np.isfinite(y_new).all() and np.isfinite(err_vec).all()):
-            _guard(t + h, y_new, t, y)
         y_new_norm = float(np.abs(y_new).max())
+        err_norm = float(np.abs(err_vec).max())
+        if not (math.isfinite(y_new_norm) and math.isfinite(err_norm)):
+            _guard(t + h, y_new, t, y)
         scale = ABS_TOL + REL_TOL * max(y_norm, y_new_norm)
-        err = float(np.abs(err_vec).max()) / scale
+        err = err_norm / scale
         if err <= 1.0:
             # y_new is finite here (checked above); the blow-up error keeps
             # the pre-step time and state, the last good ones
@@ -192,13 +196,13 @@ def _adaptive_rk45(
 
 
 def integrate(
-    field: Callable[[np.ndarray], np.ndarray],
+    field: Callable[[float, np.ndarray], np.ndarray],
     u0,
     t_end: float,
     sample_count: int = 2,
     max_steps: int = MAX_STEPS,
 ) -> Trajectory:
-    """Integrate an autonomous field, sampling sample_count equispaced times.
+    """Integrate y' = field(t, y) from t = 0, sampling sample_count equispaced times.
 
     Samples span [0, t_end] inclusive; the first is the initial state, the
     last the computed endpoint, and the interior ones come from dense output,
@@ -211,8 +215,8 @@ def integrate(
 
 
 def integrate_with_variational(
-    field: Callable[[np.ndarray], np.ndarray],
-    field_jacobian: Callable[[np.ndarray], np.ndarray],
+    field: Callable[[float, np.ndarray], np.ndarray],
+    field_jacobian: Callable[[float, np.ndarray], np.ndarray],
     u0,
     t_end: float,
     max_steps: int = MAX_STEPS,
@@ -226,9 +230,9 @@ def integrate_with_variational(
     u0 = np.asarray(u0, dtype=float)
     n = u0.size
 
-    def augmented(y: np.ndarray) -> np.ndarray:
+    def augmented(t: float, y: np.ndarray) -> np.ndarray:
         state, mat = y[:n], y[n:].reshape(n, n)
-        return np.concatenate([field(state), (field_jacobian(state) @ mat).ravel()])
+        return np.concatenate([field(t, state), (field_jacobian(t, state) @ mat).ravel()])
 
     y0 = np.concatenate([u0, np.eye(n).ravel()])
     final = _adaptive_rk45(augmented, y0, t_end, max_steps).states[-1]

@@ -33,9 +33,15 @@ from an averaged zero at epsilon > 0 is refused, and rightly so.
 The return-map system also has a spurious solution manifold as T -> 0, where
 phi_T(u) - u vanishes for every u; a period trust region around the seed
 keeps the damped Newton iteration away from it.
+
+Both solvers integrate in the rotating frame u = Phi(t) v
+(linear_flow.rotating_field), where only the O(eps) drift is left, and map
+back exactly: phi_T(u) = Phi(T) v(T), monodromy Phi(T) W(T). orbit_trajectory
+and recurrence_defect integrate the standard form: the other frame's check.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -49,7 +55,7 @@ from .chen import (
     vector_field_full,
 )
 from .integrators import MAX_STEPS, IntegrationError, Trajectory, integrate, integrate_with_variational
-from .linear_flow import period
+from .linear_flow import flow, fundamental_matrix, period, rotating_field, rotating_jacobian
 from .numerics import EigenSolveError, NewtonReport, QuarticSpectrum, SingularMatrixError, eig4, newton_solve
 
 #: accepted orbits must close up to this return-map residual
@@ -139,8 +145,6 @@ def shoot(
         raise ValueError(f"seed_period must be positive, got {seed_period}")
     seed = np.asarray(seed_state, dtype=float)
     anchor = standard_form_field(config, seed)
-    field = lambda s: standard_form_field(config, s)
-    jac = lambda s: standard_form_jacobian(config, s)
     t_lo, t_hi = _PERIOD_TRUST[0] * seed_period, _PERIOD_TRUST[1] * seed_period
     u_radius = _STATE_TRUST * (1.0 + float(np.abs(seed).max()))
 
@@ -148,15 +152,14 @@ def shoot(
         u, T = v[:4], v[4]
         if not (t_lo <= T <= t_hi and np.abs(u - seed).max() <= u_radius):
             return np.full(5, _PENALTY * (1.0 + abs(T)))
-        end = integrate(field, u, T, max_steps=max_steps).states[-1]
-        return np.append(end - u, (u - seed) @ anchor)
+        return np.append(_return_map(config, u, T, max_steps) - u, (u - seed) @ anchor)
 
     def jacobian(v: np.ndarray) -> np.ndarray:
         u, T = v[:4], v[4]
-        end, mono = integrate_with_variational(field, jac, u, T, max_steps)
+        end, mono = _return_map_with_monodromy(config, u, T, max_steps)
         out = np.zeros((5, 5))
         out[:4, :4] = mono - np.eye(4)
-        out[:4, 4] = field(end)
+        out[:4, 4] = standard_form_field(config, end)
         out[4, :4] = anchor
         return out
 
@@ -175,6 +178,36 @@ def shoot(
     return orbit
 
 
+@contextmanager
+def _reported_in_scaled_frame(config: RegimeConfig):
+    """Re-raise a rotating-frame IntegrationError with v as Phi(t) v (and W as Phi(t) W)."""
+    try:
+        yield
+    except IntegrationError as exc:
+        phi, y = fundamental_matrix(config, exc.last_time), exc.last_state
+        state = np.append(phi @ y[:4], phi @ y[4:].reshape(4, -1))
+        raise IntegrationError(str(exc), exc.reason, exc.last_time, state) from exc
+
+
+def _return_map(config: RegimeConfig, u, T: float, max_steps: int) -> np.ndarray:
+    """phi_T(u) = Phi(T) v(T), v integrated from u in the rotating frame."""
+    with _reported_in_scaled_frame(config):
+        end = integrate(lambda t, v: rotating_field(config, t, v), u, T,
+                        max_steps=max_steps).states[-1]
+    return flow(config, end, T)
+
+
+def _return_map_with_monodromy(config: RegimeConfig, u, T: float,
+                               max_steps: int = MAX_STEPS) -> tuple[np.ndarray, np.ndarray]:
+    """phi_T(u) and its monodromy Phi(T) W(T), from one rotating-frame variational run."""
+    with _reported_in_scaled_frame(config):
+        end, w = integrate_with_variational(
+            lambda t, v: rotating_field(config, t, v), lambda t, v: rotating_jacobian(config, t, v),
+            u, T, max_steps,
+        )
+    return flow(config, end, T), fundamental_matrix(config, T) @ w
+
+
 def _converged(what: str, solve) -> NewtonReport:
     """Run solve(); a singular Jacobian or a non-converged report is a ShootingError."""
     try:
@@ -189,10 +222,7 @@ def _converged(what: str, solve) -> NewtonReport:
 def _certified_orbit(config: RegimeConfig, report: NewtonReport, state, period: float,
                      branch: int) -> PeriodicOrbit:
     """One variational run: its gated closure is the residual, its monodromy the multipliers."""
-    end, mono = integrate_with_variational(
-        lambda s: standard_form_field(config, s), lambda s: standard_form_jacobian(config, s),
-        state, period,
-    )
+    end, mono = _return_map_with_monodromy(config, state, period)
     residual = float(np.max(np.abs(end - state)))
     if residual > RESIDUAL_GATE:
         raise ShootingError(
@@ -279,6 +309,12 @@ def equilibrium_near(config: RegimeConfig, point) -> NewtonReport:
     """Newton on the standard-form field from point, to 1e-13: the nearby equilibrium."""
     return newton_solve(lambda u: standard_form_field(config, u), point,
                         jacobian=lambda u: standard_form_jacobian(config, u), tol=1e-13)
+
+
+def equilibrium_multipliers(config: RegimeConfig, u, T: float) -> QuarticSpectrum:
+    """Multipliers exp(T eig J(u)) of an equilibrium u: its monodromy is exp(T J(u)), exactly."""
+    return QuarticSpectrum.from_iterable(
+        np.exp(T * np.linalg.eigvals(standard_form_jacobian(config, u))))
 
 
 def continuation_sweep(config: RegimeConfig, epsilons) -> SweepResult:
@@ -368,7 +404,8 @@ def orbit_trajectory(config: RegimeConfig, orbit: PeriodicOrbit, samples: int) -
     else:
         scaled_start = orbit.initial_state
     traj = integrate(
-        lambda s: standard_form_field(config, s), scaled_start, orbit.period, sample_count=samples,
+        lambda t, s: standard_form_field(config, s), scaled_start, orbit.period,
+        sample_count=samples,
     )
     if orbit.frame == "original":
         return Trajectory(times=traj.times, states=orbit.epsilon * traj.states)
@@ -386,8 +423,8 @@ def recurrence_defect(config: RegimeConfig, orbit: PeriodicOrbit, periods: int =
         p = config.params
         full = ChenParams(a=p.a, b=config.epsilon * p.b, c=p.a, d=p.d,
                           r=config.epsilon * p.r)
-        field = lambda s: vector_field_full(full, s)
+        field = lambda t, s: vector_field_full(full, s)
     else:
-        field = lambda s: standard_form_field(config, s)
+        field = lambda t, s: standard_form_field(config, s)
     end = integrate(field, orbit.initial_state, periods * orbit.period).states[-1]
     return float(np.max(np.abs(end - orbit.initial_state)))

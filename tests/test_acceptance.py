@@ -147,7 +147,7 @@ def test_criterion_5_flow_correctness():
             float(np.max(np.abs(flow(cfg, u, T) - u))) / (1 + float(np.max(np.abs(u)))),
         )
         worst_inverse = max(worst_inverse, inverse_gap(cfg, rng.uniform(0, 10)))
-        end = integrate(lambda s: split_standard_form(cfg, s)[0], u, T).states[-1]
+        end = integrate(lambda t, s: split_standard_form(cfg, s)[0], u, T).states[-1]
         worst_integrator = max(worst_integrator,
                                float(np.max(np.abs(end - flow(cfg, u, T)))))
     elapsed = time.perf_counter() - start

@@ -11,17 +11,17 @@ from chenhopf.integrators import (
     integrate,
     integrate_with_variational,
 )
-from chenhopf.linear_flow import flow, fundamental_matrix, period
+from chenhopf.linear_flow import flow, fundamental_matrix, period, rotating_field, rotating_jacobian
 from chenhopf.numerics import finite_difference_jacobian, newton_solve, periodic_trapezoid
 from chenhopf.orbits import continuation_sweep, shoot
 
 
 def _linear_part_field(cfg):
-    return lambda s: split_standard_form(cfg, s)[0]
+    return lambda t, s: split_standard_form(cfg, s)[0]
 
 
 def test_zero_field_keeps_state_constant():
-    traj = integrate(lambda s: np.zeros(4), np.array([1.0, -2.0, 3.0, 0.5]), 5.0,
+    traj = integrate(lambda t, s: np.zeros(4), np.array([1.0, -2.0, 3.0, 0.5]), 5.0,
                      sample_count=11)
     assert np.max(np.abs(traj.states - traj.states[0])) < 1e-14
     assert traj.times[0] == 0.0
@@ -29,7 +29,7 @@ def test_zero_field_keeps_state_constant():
 
 
 def test_exponential_growth_hits_e():
-    traj = integrate(lambda s: s, np.array([1.0, 0, 0, 0]), 1.0)
+    traj = integrate(lambda t, s: s, np.array([1.0, 0, 0, 0]), 1.0)
     assert abs(traj.states[-1][0] - np.e) < 1e-9
 
 
@@ -52,10 +52,10 @@ def test_adaptive_error_stays_within_tolerance_budget(rng):
 
 def test_time_symmetry_roundtrip(rng):
     cfg = canonical_config(0.01)
-    field = lambda s: standard_form_field(cfg, s)
+    field = lambda t, s: standard_form_field(cfg, s)
     u = rng.uniform(-1, 1, 4)
     forward = integrate(field, u, 3.0).states[-1]
-    back = integrate(lambda s: -field(s), forward, 3.0).states[-1]
+    back = integrate(lambda t, s: -field(t, s), forward, 3.0).states[-1]
     assert np.max(np.abs(back - u)) < 1e-8
 
 
@@ -68,7 +68,7 @@ def test_dense_output_matches_closed_flow_mid_interval():
 
 
 def test_sampling_grid_is_inclusive_and_even():
-    traj = integrate(lambda s: np.zeros(4), np.zeros(4), 2.0, sample_count=5)
+    traj = integrate(lambda t, s: np.zeros(4), np.zeros(4), 2.0, sample_count=5)
     assert np.allclose(traj.times, [0.0, 0.5, 1.0, 1.5, 2.0])
 
 
@@ -76,7 +76,7 @@ def test_sampling_never_moves_the_trajectory():
     # interior samples come from dense output only: the first sample is the
     # initial state and the last the same endpoint at every sample count
     cfg = canonical_config(0.01)
-    field = lambda s: standard_form_field(cfg, s)
+    field = lambda t, s: standard_form_field(cfg, s)
     u = np.array([0.3, -0.2, 0.5, 0.1])
     finals = []
     for n in (2, 3, 200):
@@ -99,7 +99,7 @@ def test_step_controller_field_evaluation_counts(eps, plain_evals, variational_e
     u0 = averaged_zeros(cfg)[0].point
     calls = 0
 
-    def counted_field(s):
+    def counted_field(t, s):
         nonlocal calls
         calls += 1
         return standard_form_field(cfg, s)
@@ -107,14 +107,46 @@ def test_step_controller_field_evaluation_counts(eps, plain_evals, variational_e
     integrate(counted_field, u0, 2 * np.pi)
     assert calls == plain_evals
     calls = 0
-    integrate_with_variational(counted_field, lambda s: standard_form_jacobian(cfg, s), u0, 2 * np.pi)
+    integrate_with_variational(counted_field, lambda t, s: standard_form_jacobian(cfg, s), u0, 2 * np.pi)
     assert calls == variational_evals
+
+
+@pytest.mark.parametrize("eps, plain_evals, variational_evals", [
+    (0.01, 199, 427),
+    (0.0, 31, 31),
+])
+def test_rotating_frame_field_evaluation_counts(eps, plain_evals, variational_evals):
+    # the integrations above in the rotating frame, where only the O(eps)
+    # drift is left: at eps = 0.01 at most half the standard form's
+    # evaluations, and at eps = 0 the field is zero and the variational run
+    # takes the plain run's steps
+    cfg = canonical_config(eps)
+    u0 = averaged_zeros(cfg)[0].point
+    calls = 0
+
+    def counted_field(t, v):
+        nonlocal calls
+        calls += 1
+        return rotating_field(cfg, t, v)
+
+    integrate(counted_field, u0, 2 * np.pi)
+    assert calls == plain_evals
+    calls = 0
+    integrate_with_variational(counted_field, lambda t, v: rotating_jacobian(cfg, t, v), u0, 2 * np.pi)
+    assert calls == variational_evals
+
+
+def test_time_dependent_field_sees_the_stage_times():
+    traj = integrate(lambda t, s: np.array([np.cos(t), -np.sin(t), 2 * t, 0.0]), np.zeros(4), 3.0,
+                     sample_count=4)
+    for t, state in zip(traj.times, traj.states):
+        assert np.max(np.abs(state - [np.sin(t), np.cos(t) - 1, t * t, 0.0])) < 1e-9
 
 
 # ------------------------------------------------------------ failure modes
 
 def test_blowup_raises_with_last_good_state():
-    field = lambda s: s * np.max(np.abs(s))     # finite-time blow-up
+    field = lambda t, s: s * np.max(np.abs(s))     # finite-time blow-up
     with pytest.raises(IntegrationError) as err:
         integrate(field, np.array([5.0, 0, 0, 0]), 10.0)
     assert err.value.reason == "blowup"
@@ -126,32 +158,32 @@ def test_blowup_raises_with_last_good_state():
 
 def test_max_steps_exceeded_raises():
     with pytest.raises(IntegrationError, match="max_steps") as err:
-        integrate(lambda s: s, np.ones(4), 50.0, max_steps=10)
+        integrate(lambda t, s: s, np.ones(4), 50.0, max_steps=10)
     assert err.value.reason == "max_steps"
 
 
 def test_non_finite_field_raises_with_its_reason():
     with pytest.raises(IntegrationError) as err:
-        integrate(lambda s: np.full(4, np.nan), np.zeros(4), 1.0)
+        integrate(lambda t, s: np.full(4, np.nan), np.zeros(4), 1.0)
     assert err.value.reason == "non_finite"
 
 
 def test_large_field_on_a_small_state_is_not_a_blowup():
     # the blow-up guard bounds the state, not the field: over 1e-20 a field
     # of 1e13 moves the state only to 1e-7
-    traj = integrate(lambda s: 1e13 * np.ones(4), np.zeros(4), 1e-20)
+    traj = integrate(lambda t, s: 1e13 * np.ones(4), np.zeros(4), 1e-20)
     assert np.allclose(traj.states[-1], 1e-7, rtol=1e-12, atol=0.0)
 
 
 def test_input_validation():
     with pytest.raises(ValueError):
-        integrate(lambda s: s, np.ones(4), 0.0)
+        integrate(lambda t, s: s, np.ones(4), 0.0)
     with pytest.raises(ValueError):
-        integrate(lambda s: s, np.ones(4), 1.0, sample_count=1)
+        integrate(lambda t, s: s, np.ones(4), 1.0, sample_count=1)
     with pytest.raises(ValueError):
-        integrate(lambda s: s, np.ones(4), 1.0, max_steps=0)
+        integrate(lambda t, s: s, np.ones(4), 1.0, max_steps=0)
     with pytest.raises(ValueError):
-        integrate_with_variational(lambda s: s, lambda s: np.eye(4), np.ones(4), 1.0, max_steps=0)
+        integrate_with_variational(lambda t, s: s, lambda t, s: np.eye(4), np.ones(4), 1.0, max_steps=0)
 
 
 def _never_called(_):
@@ -190,7 +222,7 @@ def test_input_guards_reject_non_finite_values(call):
 
 def test_variational_zero_field_gives_identity():
     final, mono = integrate_with_variational(
-        lambda s: np.zeros(4), lambda s: np.zeros((4, 4)), np.ones(4), 2.0
+        lambda t, s: np.zeros(4), lambda t, s: np.zeros((4, 4)), np.ones(4), 2.0
     )
     assert np.array_equal(final, np.ones(4))
     assert np.max(np.abs(mono - np.eye(4))) < 1e-14
@@ -200,8 +232,8 @@ def test_variational_unperturbed_monodromy_is_identity():
     cfg = canonical_config(0.0)
     T = period(cfg)
     _, mono = integrate_with_variational(
-        lambda s: standard_form_field(cfg, s),
-        lambda s: standard_form_jacobian(cfg, s),
+        lambda t, s: standard_form_field(cfg, s),
+        lambda t, s: standard_form_jacobian(cfg, s),
         np.array([0.4, -0.1, 0.7, 0.2]), T,
     )
     assert np.max(np.abs(mono - np.eye(4))) < 1e-8
@@ -211,8 +243,8 @@ def test_variational_matches_fundamental_matrix(rng):
     cfg = canonical_config(0.0)
     for t_end in (0.7, 2.3):
         _, mono = integrate_with_variational(
-            lambda s: standard_form_field(cfg, s),
-            lambda s: standard_form_jacobian(cfg, s),
+            lambda t, s: standard_form_field(cfg, s),
+            lambda t, s: standard_form_jacobian(cfg, s),
             rng.uniform(-1, 1, 4), t_end,
         )
         assert np.max(np.abs(mono - fundamental_matrix(cfg, t_end))) < 1e-8
@@ -220,10 +252,10 @@ def test_variational_matches_fundamental_matrix(rng):
 
 def test_variational_matches_flow_map_finite_differences(rng):
     cfg = canonical_config(0.01)
-    field = lambda s: standard_form_field(cfg, s)
+    field = lambda t, s: standard_form_field(cfg, s)
     u0 = rng.uniform(-0.5, 0.5, 4)
     _, mono = integrate_with_variational(
-        field, lambda s: standard_form_jacobian(cfg, s), u0, 1.0,
+        field, lambda t, s: standard_form_jacobian(cfg, s), u0, 1.0,
     )
     fd = np.zeros((4, 4))
     for j in range(4):

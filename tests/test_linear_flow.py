@@ -3,7 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chenhopf.chen import RegimeConfig, RegimeError, canonical_config, omega, split_standard_form
+from chenhopf.chen import (
+    RegimeConfig,
+    RegimeError,
+    canonical_config,
+    omega,
+    random_admissible_config,
+    split_standard_form,
+    standard_form_jacobian,
+)
 from chenhopf.averaging import (
     averaged_spectrum,
     averaged_zeros,
@@ -17,6 +25,8 @@ from chenhopf.linear_flow import (
     fundamental_matrix_inverse,
     inverse_gap,
     period,
+    rotating_field,
+    rotating_jacobian,
 )
 
 
@@ -176,3 +186,28 @@ def test_period_omega_consistency(rng):
         s = -np.sign(a) * rng.uniform(0.5, 1.6)
         cfg = RegimeConfig.make(a=a, b=0.0, d=s - a, r=0.0)
         assert abs(omega(cfg.params) * period(cfg) - 2 * np.pi) < 1e-12
+
+
+# ------------------------------------------------------------ rotating frame
+
+def test_rotating_pair_matches_the_composed_standard_form(rng):
+    # v' = eps Phi^{-1} N(Phi v), and its Jacobian Phi^{-1} (J(Phi v) - J_0) Phi,
+    # composed from the closed-form flow, its inverse and the standard form
+    for _ in range(200):
+        cfg = random_admissible_config(rng).with_epsilon(rng.uniform(0.0, 0.1))
+        t, v = rng.uniform(-10, 10), rng.uniform(-2, 2, 4)
+        u, inv = flow(cfg, v, t), fundamental_matrix_inverse(cfg, t)
+        field = cfg.epsilon * inv @ split_standard_form(cfg, u)[1]
+        jac = inv @ (standard_form_jacobian(cfg, u)
+                     - standard_form_jacobian(cfg.with_epsilon(0.0), u)) @ fundamental_matrix(cfg, t)
+        for got, ref in ((rotating_field(cfg, t, v), field), (rotating_jacobian(cfg, t, v), jac)):
+            assert np.max(np.abs(got - ref)) <= 1e-13 * (1 + np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("call", [rotating_field, rotating_jacobian])
+def test_rotating_pair_is_zero_at_eps_zero_and_validates_its_input(call):
+    assert not np.any(call(canonical_config(0.0), 1.3, _SEED))
+    with pytest.raises(ValueError, match="non-finite"):
+        call(canonical_config(0.01), 1.3, np.array([0.5, np.nan, 0.0, -1.0]))
+    with pytest.raises(RegimeError, match="elliptic case required"):
+        call(HYPERBOLIC_POS, 1.3, _SEED)

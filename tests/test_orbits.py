@@ -18,10 +18,13 @@ from chenhopf.numerics import EigenSolveError, QuarticSpectrum, eig4, newton_sol
 from chenhopf.orbits import (
     PeriodicOrbit,
     ShootingError,
+    _return_map,
+    _return_map_with_monodromy,
     averaged_periodic_solution,
     averaged_periodic_solutions,
     bifurcating_orbit,
     continuation_sweep,
+    equilibrium_multipliers,
     equilibrium_near,
     find_bifurcating_orbits,
     orbit_trajectory,
@@ -51,8 +54,8 @@ def _return_map_newton(config, seed, tol):
     Returns the report and the number of one-period residual integrations.
     """
     t0 = period(config)
-    field = lambda s: standard_form_field(config, s)
-    jac = lambda s: standard_form_jacobian(config, s)
+    field = lambda t, s: standard_form_field(config, s)
+    jac = lambda t, s: standard_form_jacobian(config, s)
     integrations = []
 
     def residual(u):
@@ -105,6 +108,47 @@ def test_find_orbits_unperturbed_limit():
 def test_find_orbits_certifies_near_identity_monodromy(params):
     for orbit in find_bifurcating_orbits(RegimeConfig.make(*params)):
         assert all(abs(m - 1.0) < 1e-9 for m in orbit.multipliers.values)
+
+
+def test_unperturbed_certificate_is_exact():
+    # at eps = 0 the rotating-frame field is zero: the monodromy is Phi(T0)
+    for orbit in find_bifurcating_orbits(canonical_config(0.0)):
+        assert orbit.residual <= 1e-12
+        assert all(abs(m - 1.0) <= 1e-12 for m in orbit.multipliers.values)
+
+
+def test_rotating_frame_maps_back_with_phi_of_t(rng):
+    # away from multiples of T0, where Phi(T) = I, the state and the
+    # monodromy must both be mapped back; compare with the standard form
+    cfg = canonical_config(0.01)
+    for T in (0.7, 2.3, 9.0):
+        u = rng.uniform(-1, 1, 4)
+        end, mono = integrate_with_variational(
+            lambda t, s: standard_form_field(cfg, s), lambda t, s: standard_form_jacobian(cfg, s), u, T)
+        assert np.max(np.abs(_return_map(cfg, u, T, max_steps=10_000) - end)) < 1e-9
+        got_end, got_mono = _return_map_with_monodromy(cfg, u, T)
+        assert np.max(np.abs(got_end - end)) < 1e-9
+        assert np.max(np.abs(got_mono - mono)) < 1e-8
+
+
+def test_rotating_frame_failures_report_the_scaled_state():
+    cfg = canonical_config(0.01)
+    zero, t0 = averaged_zeros(cfg)[0].point, period(cfg)
+    with pytest.raises(IntegrationError) as err:
+        shoot(cfg, zero, t0, max_steps=3)
+    assert err.value.reason == "max_steps"
+    t_fail = err.value.last_time
+    assert 0 < t_fail < t0
+    scaled = integrate(lambda t, s: standard_form_field(cfg, s), zero, t_fail).states[-1]
+    assert np.max(np.abs(err.value.last_state - scaled)) < 1e-9
+    # a variational run maps its state as Phi v and its matrix as Phi W
+    with pytest.raises(IntegrationError) as err:
+        _return_map_with_monodromy(cfg, zero, t0, max_steps=3)
+    end, mono = integrate_with_variational(
+        lambda t, s: standard_form_field(cfg, s), lambda t, s: standard_form_jacobian(cfg, s),
+        zero, err.value.last_time,
+    )
+    assert np.max(np.abs(err.value.last_state - np.append(end, mono))) < 1e-9
 
 
 # ------------------------------------------------------------ gates
@@ -184,8 +228,8 @@ def test_averaged_zeros_continue_into_equilibria_not_cycles():
         # it is an exact fixed point of the return map at every period
         T0 = period(cfg)
         end, mono = integrate_with_variational(
-            lambda s: standard_form_field(cfg, s),
-            lambda s: standard_form_jacobian(cfg, s),
+            lambda t, s: standard_form_field(cfg, s),
+            lambda t, s: standard_form_jacobian(cfg, s),
             u_eq, T0,
         )
         assert np.max(np.abs(end - u_eq)) < 1e-10
@@ -272,6 +316,17 @@ def test_averaged_periodic_solution_multipliers_follow_the_averaged_spectrum(eps
     )
     for sol in averaged_periodic_solutions(cfg):
         assert sol.multipliers.match_distance(predicted) < 20 * eps**2
+
+
+@pytest.mark.parametrize("branch", [1, 2])
+@pytest.mark.parametrize("eps", [0.0025, 0.01, 0.04, 0.08])
+@pytest.mark.parametrize("cfg", [canonical_config(), random_admissible_config(np.random.default_rng(11))],
+                         ids=["canonical", "random"])
+def test_averaged_periodic_solution_multipliers_are_the_exact_ones(cfg, eps, branch):
+    # an equilibrium's monodromy over T is exp(T J(u)); no integration involved
+    sol = averaged_periodic_solution(cfg.with_epsilon(eps), branch)
+    exact = equilibrium_multipliers(cfg.with_epsilon(eps), sol.initial_state, sol.period)
+    assert sol.multipliers.match_distance(exact) < 1e-9
 
 
 def test_averaged_periodic_solutions_refuse_eps_zero_and_inadmissible():
