@@ -3,15 +3,15 @@
 
 Walks the whole pipeline: hypothesis report, origin spectrum, averaged
 zeros with Jacobian data and the stability verdict, the closed-form vs
-quadrature agreement, the continuation sweep over epsilon, and the
-characterization of the invariant branch the averaged zeros continue into
-(a branch of equilibria; the shooter records honest failures for cycles).
+quadrature agreement, and the branch study over epsilon: the T0-periodic
+solutions the averaged zeros continue into, on both branches (equilibria
+whose Floquet multipliers all stay away from 1, so no limit cycle).
 
 Writes machine-readable results under out/ and prints a summary.
 """
+import dataclasses
 import json
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from chenhopf.averaging import (
     stability_verdict,
 )
 from chenhopf.chen import canonical_config, check_zero_hopf_conditions
-from chenhopf.orbits import averaged_periodic_solution, continuation_sweep
+from chenhopf.orbits import branch_study
 
 EPS_GRID = [0.005, 0.01, 0.02, 0.04]
 OUT = Path(__file__).resolve().parent.parent / "out"
@@ -54,35 +54,21 @@ def main() -> int:
     worst = quadrature_gap(cfg, rng.uniform(-2, 2, (500, 4)))
     print(f"  worst scaled discrepancy over 500 points: {worst:.3e}")
 
-    print("== invariant branch through the zeros ==")
-    branch_rows = []
-    for eps in EPS_GRID:
-        solution = averaged_periodic_solution(cfg.with_epsilon(eps), 1)
-        dist = float(np.linalg.norm(solution.initial_state - first.point))
-        trivial_gap = solution.trivial_multiplier_defect()
-        branch_rows.append({"epsilon": eps, "distance_to_zero": dist,
-                            "trivial_multiplier_gap": trivial_gap})
-        print(f"  eps={eps}: |u_eq - p1| = {dist:.6e} "
-              f"(ratio {dist/eps:.4f}), min |multiplier - 1| = {trivial_gap:.3e}")
-    slope = np.polyfit(np.log(EPS_GRID),
-                       np.log([r["distance_to_zero"] for r in branch_rows]), 1)[0]
-    print(f"  distance scaling: slope {slope:.3f} (equilibria converge linearly)")
-
-    print("== shooting sweep (records honest failures) ==")
-    start = time.perf_counter()
-    sweep = continuation_sweep(cfg, EPS_GRID)
-    print(f"  {sum(r.converged for r in sweep.rows)}/{len(sweep.rows)} certified "
-          f"in {time.perf_counter() - start:.1f}s; slopes {sweep.slope_by_branch}")
+    print("== T0-periodic solutions through the zeros ==")
+    study = branch_study(cfg, EPS_GRID)
+    for row in study.rows:
+        print(f"  branch {row.branch}, eps={row.epsilon}: |u_eq - p| = {row.distance_to_zero:.6e} "
+              f"(ratio {row.distance_to_zero / row.epsilon:.4f}), "
+              f"min |multiplier - 1| = {row.trivial_multiplier_defect:.3e}")
+    print(f"  distance scaling: slopes {study.slope_by_branch} (equilibria converge linearly)")
 
     payload = {
         "zeros": [list(first.point), list(second.point)],
         "det": jacobian_determinant(cfg),
         "spectrum": [[v.real, v.imag] for v in spec.values],
         "oracle_worst_scaled_discrepancy": worst,
-        "equilibrium_branch": branch_rows,
-        "equilibrium_distance_slope": float(slope),
-        "sweep_converged": sum(r.converged for r in sweep.rows),
-        "sweep_total": len(sweep.rows),
+        "branch_study": [dataclasses.asdict(row) for row in study.rows],
+        "slope_by_branch": study.slope_by_branch,
     }
     path = OUT / "reproduce_analysis.json"
     path.write_text(json.dumps(payload, indent=2))

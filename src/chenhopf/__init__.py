@@ -19,7 +19,7 @@ from .chen import (
 from .averaging import AveragedZero, StabilityVerdict
 from .integrators import IntegrationError, Trajectory
 from .numerics import NewtonReport, QuarticSpectrum
-from .orbits import PeriodicOrbit, ShootingError, SweepResult, SweepRow
+from .orbits import BranchRow, BranchStudy, PeriodicOrbit, ShootingError
 
 __all__ = [
     "__version__",
@@ -36,8 +36,8 @@ __all__ = [
     "Trajectory",
     "NewtonReport",
     "QuarticSpectrum",
+    "BranchRow",
+    "BranchStudy",
     "PeriodicOrbit",
     "ShootingError",
-    "SweepResult",
-    "SweepRow",
 ]

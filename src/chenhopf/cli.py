@@ -2,7 +2,7 @@
 
 Subcommands expose the analysis pipeline end to end: hypothesis checks,
 origin spectra, averaged-function evaluation, zero location, orbit
-verification, epsilon sweeps, orbit sampling, and a cross-oracle selftest.
+verification, the branch study, orbit sampling, and a cross-oracle selftest.
 
 Exit codes: 0 success, 1 hypothesis violation, 2 numerical failure,
 3 input/IO error. JSON is the machine interface; the default human-readable
@@ -53,10 +53,10 @@ from .integrators import IntegrationError
 from .linear_flow import inverse_gap
 from .numerics import EigenSolveError, QuarticSpectrum, SingularMatrixError, eig4
 from .orbits import (
+    BranchRow,
     ShootingError,
-    SweepRow,
     bifurcating_orbit,
-    continuation_sweep,
+    branch_study,
     find_bifurcating_orbits,
     orbit_trajectory,
     recurrence_defect,
@@ -305,20 +305,19 @@ def _parse_epsilons(text: str) -> list[float]:
 
 def _cmd_sweep(args) -> int:
     config = _config(args, epsilon=0.0)
-    result = continuation_sweep(config, _parse_epsilons(args.epsilons))
-    text = _csv([f.name for f in dataclasses.fields(SweepRow)],
-                [dataclasses.astuple(row) for row in result.rows])
+    study = branch_study(config, _parse_epsilons(args.epsilons))
+    text = _csv([f.name for f in dataclasses.fields(BranchRow)],
+                [dataclasses.astuple(row) for row in study.rows])
     summary = {
         "manifest": _manifest(args, "sweep"),
-        "slope_by_branch": {str(k): v for k, v in result.slope_by_branch.items()},
-        "converged_rows": sum(1 for row in result.rows if row.converged),
-        "total_rows": len(result.rows),
+        "slope_by_branch": {str(k): v for k, v in study.slope_by_branch.items()},
+        "total_rows": len(study.rows),
     }
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
         _emit(args, summary,
-              f"wrote {len(result.rows)} rows to {args.out}; "
+              f"wrote {len(study.rows)} rows to {args.out}; "
               f"slopes: {summary['slope_by_branch']}")
     else:
         sys.stdout.write(text)
@@ -411,7 +410,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="shoot both bifurcating orbits at one epsilon")
     _add_param_flags(p, with_epsilon=True)
 
-    p = sub.add_parser("sweep", help="epsilon continuation sweep, CSV output")
+    p = sub.add_parser("sweep", help="averaged periodic solutions per epsilon, CSV output")
     _add_param_flags(p)
     p.add_argument("--epsilons", required=True, help="comma-separated ascending list")
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")

@@ -46,7 +46,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .averaging import averaged_zero_points
+from .averaging import averaged_spectrum, averaged_zero_points
 from .chen import (
     ChenParams,
     RegimeConfig,
@@ -100,19 +100,20 @@ class PeriodicOrbit:
 
 
 @dataclass(frozen=True)
-class SweepRow:
+class BranchRow:
+    """One branch's T0-periodic solution at one epsilon, against what averaging predicts."""
+
     epsilon: float
     branch: int
-    distance_to_p: float | None
-    period_error: float | None
-    residual: float | None
-    max_multiplier_modulus: float | None
-    converged: bool
+    distance_to_zero: float           # |u_eq - p|, p the branch's averaged zero
+    trivial_multiplier_defect: float  # min |multiplier - 1|: why no limit cycle continues p
+    exact_multiplier_gap: float       # against equilibrium_multipliers
+    prediction_error: float           # against exp(eps T0 lambda), lambda in averaged_spectrum
 
 
 @dataclass(frozen=True)
-class SweepResult:
-    rows: list[SweepRow]
+class BranchStudy:
+    rows: list[BranchRow]
     slope_by_branch: dict[int, float | None]
 
 
@@ -317,13 +318,13 @@ def equilibrium_multipliers(config: RegimeConfig, u, T: float) -> QuarticSpectru
         np.exp(T * np.linalg.eigvals(standard_form_jacobian(config, u))))
 
 
-def continuation_sweep(config: RegimeConfig, epsilons) -> SweepResult:
-    """Shoot both branches over an ascending epsilon grid.
+def branch_study(config: RegimeConfig, epsilons) -> BranchStudy:
+    """averaged_periodic_solution on branch 1, then 2, at each epsilon of an ascending grid.
 
-    Each epsilon re-seeds from the previous converged orbit of its branch
-    (the first from the averaged zero), so Newton stays inside its basin as
-    the orbits move away from the averaged prediction. Failures are recorded
-    in-row and the sweep continues.
+    config's own epsilon is ignored. slope_by_branch is the log-log slope of
+    distance_to_zero against epsilon (about 1: the branch is O(eps) from its
+    zero), or None on a one-epsilon grid. A failing row raises a
+    ShootingError that names its branch and epsilon.
     """
     eps_list = [float(e) for e in epsilons]
     if not eps_list:
@@ -334,43 +335,32 @@ def continuation_sweep(config: RegimeConfig, epsilons) -> SweepResult:
         raise ValueError(f"epsilons must be strictly positive, got {eps_list}")
     if any(b <= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError(f"epsilons must be strictly ascending, got {eps_list}")
-    rows: list[SweepRow] = []
+    rows: list[BranchRow] = []
     slopes: dict[int, float | None] = {}
-    for branch in (1, 2):
-        zero, t0 = _branch_seed(config, branch)
-        seed_u, seed_t = zero, t0
-        eps_ok, dist_ok = [], []
-        branch_rows = []
+    spectrum = averaged_spectrum(config)  # the elliptic-regime refusal comes before "zeros not real"
+    for branch, zero in zip((1, 2), averaged_zero_points(config)):
         for eps in eps_list:
             cfg = config.with_epsilon(eps)
             try:
-                orbit = shoot(cfg, seed_u, seed_t, branch=branch)
-            except (ShootingError, IntegrationError):
-                branch_rows.append(SweepRow(
-                    epsilon=eps, branch=branch, distance_to_p=None,
-                    period_error=None, residual=None,
-                    max_multiplier_modulus=None, converged=False,
-                ))
-                continue
-            dist = float(np.linalg.norm(orbit.initial_state - zero))
-            branch_rows.append(SweepRow(
+                sol = averaged_periodic_solution(cfg, branch)
+            except (ShootingError, IntegrationError) as exc:
+                raise ShootingError(f"branch {branch} at eps = {eps} failed: {exc}") from exc
+            predicted = QuarticSpectrum.from_iterable(
+                np.exp(eps * sol.period * lam) for lam in spectrum.values)
+            rows.append(BranchRow(
                 epsilon=eps,
                 branch=branch,
-                distance_to_p=dist,
-                period_error=abs(orbit.period - t0),
-                residual=orbit.residual,
-                max_multiplier_modulus=max(abs(m) for m in orbit.multipliers.values),
-                converged=True,
+                distance_to_zero=float(np.linalg.norm(sol.initial_state - zero)),
+                trivial_multiplier_defect=sol.trivial_multiplier_defect(),
+                exact_multiplier_gap=sol.multipliers.match_distance(
+                    equilibrium_multipliers(cfg, sol.initial_state, sol.period)),
+                prediction_error=sol.multipliers.match_distance(predicted),
             ))
-            eps_ok.append(eps)
-            dist_ok.append(dist)
-            seed_u, seed_t = orbit.initial_state, orbit.period
-        if len(eps_ok) >= 2 and all(v > 0 for v in dist_ok):
-            slopes[branch] = float(np.polyfit(np.log(eps_ok), np.log(dist_ok), 1)[0])
-        else:
-            slopes[branch] = None
-        rows.extend(branch_rows)
-    return SweepResult(rows=rows, slope_by_branch=slopes)
+        # polyfit warns on fewer points than coefficients; one epsilon has no slope
+        distances = [row.distance_to_zero for row in rows if row.branch == branch]
+        slopes[branch] = (float(np.polyfit(np.log(eps_list), np.log(distances), 1)[0])
+                          if len(eps_list) >= 2 else None)
+    return BranchStudy(rows=rows, slope_by_branch=slopes)
 
 
 def unscale_orbit(orbit: PeriodicOrbit) -> PeriodicOrbit:

@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -175,19 +177,51 @@ def test_verify_inadmissible_exits_1_before_integration(capsys):
 
 # ------------------------------------------------------------ sweep
 
-def test_sweep_csv_schema_and_summary(capsys, tmp_path):
+def test_sweep_csv_is_the_branch_study(capsys, tmp_path):
     out_path = tmp_path / "sweep.csv"
     code, payload, _ = run_json(capsys, "sweep", "--epsilons", "0.01,0.02",
                                 "--out", str(out_path))
     assert code == 0
-    rows = list(csv.reader(out_path.read_text().splitlines()))
-    assert rows[0] == ["epsilon", "branch", "distance_to_p", "period_error",
-                       "residual", "max_multiplier_modulus", "converged"]
-    assert len(rows) == 5
-    for row in rows[1:]:
-        assert row[6] == "false"
-        assert row[2] == row[3] == row[4] == row[5] == ""
-    assert payload["slope_by_branch"] == {"1": None, "2": None}
+    header, *rows = csv.reader(out_path.read_text().splitlines())
+    assert header == ["epsilon", "branch", "distance_to_zero", "trivial_multiplier_defect",
+                      "exact_multiplier_gap", "prediction_error"]
+    assert [f.name for f in dataclasses.fields(orbits.BranchRow)] == header
+    assert [(float(row[0]), int(row[1])) for row in rows] == [(0.01, 1), (0.02, 1), (0.01, 2), (0.02, 2)]
+    for row in rows:
+        eps, branch = float(row[0]), int(row[1])
+        distance, trivial, exact = (float(cell) for cell in row[2:5])
+        sol = orbits.averaged_periodic_solution(chen.canonical_config(eps), branch)
+        zero = averaging.averaged_zero_points(chen.canonical_config())[branch - 1]
+        assert distance == np.linalg.norm(sol.initial_state - zero)
+        assert trivial == sol.trivial_multiplier_defect() > orbits.TRIVIAL_MULTIPLIER_TOL
+        assert exact < 1e-9
+    assert all(0.9 <= payload["slope_by_branch"][b] <= 1.1 for b in ("1", "2"))
+    assert payload["total_rows"] == 4 and "converged_rows" not in payload
+
+
+def test_sweep_one_epsilon_has_null_slopes(capsys):
+    # np.polyfit on one point would warn (RankWarning is a RuntimeWarning)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, "sweep", "--epsilons", "0.01", "--json")
+    assert code == 0
+    assert len(out.splitlines()) == 3
+    assert json.loads(err)["slope_by_branch"] == {"1": None, "2": None}
+
+
+def test_sweep_failing_row_exits_2_and_names_itself(capsys, monkeypatch):
+    solve = orbits.averaged_periodic_solution
+
+    def failing_at_eps_002(config, branch):
+        if branch == 2 and config.epsilon == 0.02:
+            raise orbits.ShootingError("equilibrium Newton stagnated after 2 iterations")
+        return solve(config, branch)
+
+    monkeypatch.setattr(orbits, "averaged_periodic_solution", failing_at_eps_002)
+    code, out, err = run(capsys, "sweep", "--epsilons", "0.01,0.02")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("numerical failure: branch 2 at eps = 0.02 failed: equilibrium Newton")
 
 
 def test_sweep_unwritable_path_exits_3(capsys):

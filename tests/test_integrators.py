@@ -13,7 +13,7 @@ from chenhopf.integrators import (
 )
 from chenhopf.linear_flow import flow, fundamental_matrix, period, rotating_field, rotating_jacobian
 from chenhopf.numerics import finite_difference_jacobian, newton_solve, periodic_trapezoid
-from chenhopf.orbits import continuation_sweep, shoot
+from chenhopf.orbits import branch_study, shoot
 
 
 def _linear_part_field(cfg):
@@ -199,7 +199,7 @@ _NAN, _INF = float("nan"), float("inf")
                  id="fd-step-nan"),
     pytest.param(lambda: newton_solve(_never_called, np.zeros(4), tol=_NAN), id="newton-tol-nan"),
     pytest.param(lambda: shoot(canonical_config(0.01), np.ones(4), _NAN), id="shoot-period-nan"),
-    pytest.param(lambda: continuation_sweep(canonical_config(), [0.01, _NAN]),
+    pytest.param(lambda: branch_study(canonical_config(), [0.01, _NAN]),
                  id="sweep-epsilon-nan"),
     pytest.param(lambda: integrate(_never_called, np.ones(4), _NAN), id="integrate-t_end-nan"),
     pytest.param(lambda: integrate(_never_called, np.ones(4), _INF), id="integrate-t_end-inf"),

@@ -16,6 +16,8 @@ from chenhopf.integrators import IntegrationError, integrate, integrate_with_var
 from chenhopf.linear_flow import period
 from chenhopf.numerics import EigenSolveError, QuarticSpectrum, eig4, newton_solve
 from chenhopf.orbits import (
+    TRIVIAL_MULTIPLIER_TOL,
+    BranchRow,
     PeriodicOrbit,
     ShootingError,
     _return_map,
@@ -23,7 +25,7 @@ from chenhopf.orbits import (
     averaged_periodic_solution,
     averaged_periodic_solutions,
     bifurcating_orbit,
-    continuation_sweep,
+    branch_study,
     equilibrium_multipliers,
     equilibrium_near,
     find_bifurcating_orbits,
@@ -275,15 +277,6 @@ def test_fixed_period_newton_below_the_integration_floor_stops_early():
     assert integrations <= 40
 
 
-def test_sweep_records_honest_failures_and_no_slope():
-    cfg = canonical_config()
-    result = continuation_sweep(cfg, [0.01, 0.02])
-    assert len(result.rows) == 4
-    assert all(not row.converged for row in result.rows)
-    assert all(row.distance_to_p is None for row in result.rows)
-    assert result.slope_by_branch == {1: None, 2: None}
-
-
 # ------------------------------- the T0-periodic solutions averaging gives
 
 def test_averaged_periodic_solutions_are_the_equilibria_at_period_T0():
@@ -345,16 +338,51 @@ def test_per_branch_solvers_reject_unknown_branches(solve, branch):
         solve(canonical_config(0.01), branch)
 
 
+# ------------------------------------------- the branch study over epsilon
+
+def test_branch_study_rows_are_the_averaged_periodic_solutions():
+    cfg = canonical_config()
+    study = branch_study(cfg, [0.01, 0.02])
+    assert [(row.branch, row.epsilon) for row in study.rows] == [(1, 0.01), (1, 0.02), (2, 0.01), (2, 0.02)]
+    for row in study.rows:
+        sol = averaged_periodic_solution(cfg.with_epsilon(row.epsilon), row.branch)
+        zero = averaged_zeros(cfg)[row.branch - 1].point
+        predicted = QuarticSpectrum.from_iterable(
+            np.exp(row.epsilon * sol.period * lam) for lam in averaged_spectrum(cfg).values)
+        assert row.distance_to_zero == np.linalg.norm(sol.initial_state - zero)
+        assert row.prediction_error == sol.multipliers.match_distance(predicted)
+        # hyperbolic, so no limit cycle continues the zero
+        assert row.trivial_multiplier_defect == sol.trivial_multiplier_defect() > TRIVIAL_MULTIPLIER_TOL
+        assert row.exact_multiplier_gap < 1e-9
+    # the branch is O(eps) from its zero
+    assert all(0.9 <= study.slope_by_branch[branch] <= 1.1 for branch in (1, 2))
+
+
+@pytest.mark.parametrize("cfg", [canonical_config(), random_admissible_config(np.random.default_rng(11))],
+                         ids=["canonical", "random"])
+def test_branch_study_is_mirror_symmetric(cfg):
+    # S = diag(-1, -1, 1, -1) commutes with the standard form and maps p1 to p2
+    study = branch_study(cfg, [0.01, 0.04])
+    first = [row for row in study.rows if row.branch == 1]
+    second = [row for row in study.rows if row.branch == 2]
+    assert len(first) == len(second) == 2
+    for row1, row2 in zip(first, second):
+        for field in dataclasses.fields(BranchRow):
+            if field.name != "branch":
+                assert getattr(row1, field.name) == getattr(row2, field.name), field.name
+    assert study.slope_by_branch[1] == study.slope_by_branch[2]
+
+
 def test_sweep_validates_epsilon_grid():
     cfg = canonical_config()
     with pytest.raises(ValueError):
-        continuation_sweep(cfg, [])
+        branch_study(cfg, [])
     with pytest.raises(ValueError):
-        continuation_sweep(cfg, [0.01, 0.005])
+        branch_study(cfg, [0.01, 0.005])
     with pytest.raises(ValueError):
-        continuation_sweep(cfg, [0.0, 0.01])
-    with pytest.raises(ValueError, match="epsilons must be finite"):   # before any shooting
-        continuation_sweep(cfg, [0.01, np.inf])
+        branch_study(cfg, [0.0, 0.01])
+    with pytest.raises(ValueError, match="epsilons must be finite"):   # before any solve
+        branch_study(cfg, [0.01, np.inf])
 
 
 # ------------------------------------------------------------ frame mapping
