@@ -241,7 +241,7 @@ def refine_zero(
         residual = lambda v: bifurcation_function_quadrature(config, v)
     else:
         residual = lambda v: bifurcation_function(config, v)
-    report = newton_solve(residual, np.asarray(seed, dtype=float), tol=tol, max_iter=40)
+    report = newton_solve(residual, np.asarray(seed, dtype=float), tol=tol)
     jac = finite_difference_jacobian(residual, report.root, step=_DIAG_FD_STEP)
     det = float(determinant(jac))
     zero = _diagnose(report.root, report.residual_norm, jac, det, eig4(jac))

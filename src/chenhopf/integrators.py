@@ -13,9 +13,11 @@ on a step that holds a requested interior sample.
 
 Which guard runs where:
 
-* before the first step: t_end, max_steps and the initial state are
-  validated (ValueError), and the field at t = 0 must be finite
-  ("non_finite"; it may exceed BLOWUP_NORM where the state is small);
+* before the first step: t_end and the initial state are validated
+  (ValueError), and the field at t = 0 must be finite ("non_finite"; it
+  may exceed BLOWUP_NORM where the state is small);
+* each stage: the fields reject a non-finite state (chen._state raises
+  ValueError); if the stage state overflowed, that is "non_finite";
 * each step attempt: the max-norms of the proposed state and error
   estimate, which carry NaN and inf, are checked for finiteness
   ("non_finite", or "blowup" if only the error estimate is not finite and
@@ -23,12 +25,12 @@ Which guard runs where:
   ("step_underflow");
 * each accepted step: only the blow-up test, on the max|y| the error norm
   already computed, since finiteness was checked before acceptance;
-* the loop as a whole: at most max_steps step attempts ("max_steps").
+* the loop as a whole: at most MAX_STEPS step attempts ("max_steps").
 
 Fields are called as field(t, y), stage i at t + _C[i] * h. Every
 IntegrationError carries the last good time and state, from before the
-failing step. The fields validate their own input (chen._state), so every
-right-hand-side call still rejects a non-finite state.
+failing step. These guards report overflow, so numpy's overflow and
+invalid-value warnings are off inside the stepper.
 """
 from __future__ import annotations
 
@@ -43,9 +45,10 @@ BLOWUP_NORM = 1e12
 #: per-step error tolerances: absolute, and relative to the state's max norm
 ABS_TOL = 1e-12
 REL_TOL = 1e-10
-#: default step budget of one integration: about 100 times the most any
-#: certifying or refusing run takes (999 step attempts, five periods of a
-#: recurrence check; one period near the averaged zeros takes about 220)
+#: step budget of every integration. Measured: the test-suite's longest run
+#: takes 999 step attempts (a five-period recurrence check), benchmark ops
+#: and CLI commands at most 92 (sweep over four epsilons); runs at very large
+#: epsilon, such as verify --epsilon 2, end here as "max_steps"
 MAX_STEPS = 100_000
 
 #: smallest step attempted before raising step_underflow
@@ -122,14 +125,11 @@ def _adaptive_rk45(
     field: Callable[[float, np.ndarray], np.ndarray],
     u0: np.ndarray,
     t_end: float,
-    max_steps: int,
     sample_count: int = 2,
 ) -> Trajectory:
     """Core stepper; returns sample_count equispaced samples over [0, t_end]."""
     if not (t_end > 0 and np.isfinite(t_end)):
         raise ValueError(f"t_end must be finite and positive, got {t_end}")
-    if not max_steps >= 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     start = np.array(u0, dtype=float)
     if not np.isfinite(start).all():
         raise ValueError("initial state must be finite")
@@ -149,49 +149,54 @@ def _adaptive_rk45(
     k = np.empty((7, y.size))
     k[0] = f0
     err_prev = 1.0
-    for _ in range(max_steps):
-        if t >= t_end:
-            break
-        h = min(h, t_end - t)
-        if h < _H_MIN:
-            raise IntegrationError(f"step size underflow at t = {t:.6g}", "step_underflow", t, y)
-        for i in range(1, 6):
-            k[i] = field(t + _C[i] * h, y + h * (_A[i] @ k[:i]))
-        # the 5th-order solution is the last stage's node, so its field is that stage
-        y_new = y + h * (_A[6] @ k[:6])
-        k[6] = field(t + h, y_new)
-        err_vec = h * (_ERR @ k)
-        y_new_norm = float(np.abs(y_new).max())
-        err_norm = float(np.abs(err_vec).max())
-        if not (math.isfinite(y_new_norm) and math.isfinite(err_norm)):
-            _guard(t + h, y_new, t, y)
-        scale = ABS_TOL + REL_TOL * max(y_norm, y_new_norm)
-        err = err_norm / scale
-        if err <= 1.0:
-            # y_new is finite here (checked above); the blow-up error keeps
-            # the pre-step time and state, the last good ones
-            if y_new_norm > BLOWUP_NORM:
-                raise _blowup(t + h, t, y)
-            if next_sample < interior.size and interior[next_sample] <= t + h + 1e-15:
-                # dense output over (t, t+h]
-                q = (k.T @ _P) * h
-                while next_sample < interior.size and interior[next_sample] <= t + h + 1e-15:
-                    theta = min(1.0, (interior[next_sample] - t) / h)
-                    powers = np.array([theta, theta**2, theta**3, theta**4])
-                    samples[next_sample] = y + q @ powers
-                    next_sample += 1
-            t += h
-            y, y_norm = y_new, y_new_norm
-            k[0] = k[6]
-            fac = _SAFETY * (err + 1e-20) ** (-_ALPHA) * err_prev ** _BETA
-            err_prev = max(err, 1e-4)
-            h *= min(_FAC_MAX, max(_FAC_MIN, fac))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(MAX_STEPS):
+            if t >= t_end:
+                break
+            h = min(h, t_end - t)
+            if h < _H_MIN:
+                raise IntegrationError(f"step size underflow at t = {t:.6g}", "step_underflow", t, y)
+            # stage i's state; the last one is the 5th-order solution, its field k[6]
+            try:
+                for i in range(1, 7):
+                    y_new = y + h * (_A[i] @ k[:i])
+                    k[i] = field(t + _C[i] * h, y_new)
+            except ValueError:
+                if np.isfinite(y_new).all():  # not an overflow: the field's own input error
+                    raise
+                _guard(t + h, y_new, t, y)
+            err_vec = h * (_ERR @ k)
+            y_new_norm = float(np.abs(y_new).max())
+            err_norm = float(np.abs(err_vec).max())
+            if not (math.isfinite(y_new_norm) and math.isfinite(err_norm)):
+                _guard(t + h, y_new, t, y)
+            scale = ABS_TOL + REL_TOL * max(y_norm, y_new_norm)
+            err = err_norm / scale
+            if err <= 1.0:
+                # y_new is finite here (checked above); the blow-up error keeps
+                # the pre-step time and state, the last good ones
+                if y_new_norm > BLOWUP_NORM:
+                    raise _blowup(t + h, t, y)
+                if next_sample < interior.size and interior[next_sample] <= t + h + 1e-15:
+                    # dense output over (t, t+h]
+                    q = (k.T @ _P) * h
+                    while next_sample < interior.size and interior[next_sample] <= t + h + 1e-15:
+                        theta = min(1.0, (interior[next_sample] - t) / h)
+                        powers = np.array([theta, theta**2, theta**3, theta**4])
+                        samples[next_sample] = y + q @ powers
+                        next_sample += 1
+                t += h
+                y, y_norm = y_new, y_new_norm
+                k[0] = k[6]
+                fac = _SAFETY * (err + 1e-20) ** (-_ALPHA) * err_prev ** _BETA
+                err_prev = max(err, 1e-4)
+                h *= min(_FAC_MAX, max(_FAC_MIN, fac))
+            else:
+                h *= max(_FAC_MIN, min(1.0, _SAFETY * err ** (-0.2)))
         else:
-            h *= max(_FAC_MIN, min(1.0, _SAFETY * err ** (-0.2)))
-    else:
-        raise IntegrationError(
-            f"exceeded max_steps = {max_steps} before t_end", "max_steps", t, y
-        )
+            raise IntegrationError(
+                f"exceeded max_steps = {MAX_STEPS} before t_end", "max_steps", t, y
+            )
     return Trajectory(times=times, states=np.vstack([start, samples, y]))
 
 
@@ -200,18 +205,17 @@ def integrate(
     u0,
     t_end: float,
     sample_count: int = 2,
-    max_steps: int = MAX_STEPS,
 ) -> Trajectory:
     """Integrate y' = field(t, y) from t = 0, sampling sample_count equispaced times.
 
     Samples span [0, t_end] inclusive; the first is the initial state, the
     last the computed endpoint, and the interior ones come from dense output,
-    so sampling never moves the step sequence. More than max_steps step
+    so sampling never moves the step sequence. More than MAX_STEPS step
     attempts raise IntegrationError.
     """
     if sample_count < 2:
         raise ValueError(f"sample_count must be >= 2, got {sample_count}")
-    return _adaptive_rk45(field, u0, t_end, max_steps, sample_count)
+    return _adaptive_rk45(field, u0, t_end, sample_count)
 
 
 def integrate_with_variational(
@@ -219,7 +223,6 @@ def integrate_with_variational(
     field_jacobian: Callable[[float, np.ndarray], np.ndarray],
     u0,
     t_end: float,
-    max_steps: int = MAX_STEPS,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Flow endpoint and the derivative of the flow map w.r.t. u0.
 
@@ -235,5 +238,5 @@ def integrate_with_variational(
         return np.concatenate([field(t, state), (field_jacobian(t, state) @ mat).ravel()])
 
     y0 = np.concatenate([u0, np.eye(n).ravel()])
-    final = _adaptive_rk45(augmented, y0, t_end, max_steps).states[-1]
+    final = _adaptive_rk45(augmented, y0, t_end).states[-1]
     return final[:n], final[n:].reshape(n, n)

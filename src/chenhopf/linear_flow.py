@@ -74,7 +74,7 @@ def period(config: RegimeConfig) -> float:
 
 
 def _rotating(config: RegimeConfig, t: float, v):
-    """Phi(t) v's x and y, and the x and y rows of Phi(t) and Phi(-t) = Phi(t)^{-1} on (x, y, w)."""
+    """Phi(t) v's x and y, rows x and y of Phi(t) on (x, y, w), and of Phi(t)^{-1} on (y, w) (N_x = 0)."""
     p = config.params
     om, a, d = omega(p), p.a, p.d
     ad = a + d
@@ -85,12 +85,12 @@ def _rotating(config: RegimeConfig, t: float, v):
     vx, vy, vz, vw = _state(v)
     x = rows[0] * vx + rows[1] * vy + rows[2] * vw
     y = rows[3] * vx + rows[4] * vy + rows[5] * vw
-    return x, y, vz, vw, rows, (cos - ks, ks, dx + ws, kds, cos + ks, dy)
+    return x, y, vz, vw, rows, (ks, dx + ws, cos + ks, dy)
 
 
 def rotating_field(config: RegimeConfig, t: float, v) -> np.ndarray:
     """eps Phi(t)^{-1} N(Phi(t) v), N = (0, -xz, xy - bz, yz + rw); zero at eps = 0."""
-    x, y, z, w, _, (_, q01, q03, _, q11, q13) = _rotating(config, t, v)
+    x, y, z, w, _, (q01, q03, q11, q13) = _rotating(config, t, v)
     b, r, eps = config.params.b, config.params.r, config.epsilon
     n1, n2, n3 = -x * z, x * y - b * z, y * z + r * w
     return np.array([eps * (q01 * n1 + q03 * n3), eps * (q11 * n1 + q13 * n3), eps * n2, eps * n3])
@@ -98,8 +98,7 @@ def rotating_field(config: RegimeConfig, t: float, v) -> np.ndarray:
 
 def rotating_jacobian(config: RegimeConfig, t: float, v) -> np.ndarray:
     """eps Phi(t)^{-1} DN(Phi(t) v) Phi(t): the state Jacobian of rotating_field."""
-    x, y, z, _, (p00, p01, p03, p10, p11, p13), (_, q01, q03, _, q11, q13) = \
-        _rotating(config, t, v)
+    x, y, z, _, (p00, p01, p03, p10, p11, p13), (q01, q03, q11, q13) = _rotating(config, t, v)
     b, r, eps = config.params.b, config.params.r, config.epsilon
     # rows y and w of DN(u) Phi are (g0, g1, -x, g3) and (h0, h1, y, h3); row x is zero
     g0, g1, g3 = -z * p00, -z * p01, -z * p03

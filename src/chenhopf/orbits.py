@@ -54,7 +54,7 @@ from .chen import (
     standard_form_jacobian,
     vector_field_full,
 )
-from .integrators import MAX_STEPS, IntegrationError, Trajectory, integrate, integrate_with_variational
+from .integrators import IntegrationError, Trajectory, integrate, integrate_with_variational
 from .linear_flow import flow, fundamental_matrix, period, rotating_field, rotating_jacobian
 from .numerics import EigenSolveError, NewtonReport, QuarticSpectrum, SingularMatrixError, eig4, newton_solve
 
@@ -122,14 +122,13 @@ def shoot(
     seed_state,
     seed_period: float,
     branch: int = 0,
-    max_iter: int = 20,
-    max_steps: int = MAX_STEPS,
 ) -> PeriodicOrbit:
     """Newton-shoot a periodic orbit of the standard-form system.
 
-    max_steps bounds each integration of the residual and the Jacobian. Two
-    trust regions bound the trials: T within _PERIOD_TRUST times seed_period
-    and max|u - seed| within _STATE_TRUST * (1 + max|seed|); a trial outside
+    Newton runs on the budget numerics.MAX_ITER, and each integration of the
+    residual and the Jacobian on integrators.MAX_STEPS. Two trust regions
+    bound the trials: T within _PERIOD_TRUST times seed_period and
+    max|u - seed| within _STATE_TRUST * (1 + max|seed|); a trial outside
     either gets a penalty residual and is not integrated. The orbit's
     residual is the closure of the certificate's fresh integration.
 
@@ -138,7 +137,7 @@ def shoot(
     stop reason and keeps the NewtonReport on the error: near an averaged
     zero at epsilon > 0 no limit cycle exists (see the module docstring), the
     residual has a positive floor, and Newton stops within a few iterations as
-    "stagnated" or "line_search_failed" instead of spending max_iter.
+    "stagnated" or "line_search_failed" instead of spending MAX_ITER.
     Integration failures (blow-up, step budget) propagate as
     IntegrationError with their own reason.
     """
@@ -153,11 +152,11 @@ def shoot(
         u, T = v[:4], v[4]
         if not (t_lo <= T <= t_hi and np.abs(u - seed).max() <= u_radius):
             return np.full(5, _PENALTY * (1.0 + abs(T)))
-        return np.append(_return_map(config, u, T, max_steps) - u, (u - seed) @ anchor)
+        return np.append(_return_map(config, u, T) - u, (u - seed) @ anchor)
 
     def jacobian(v: np.ndarray) -> np.ndarray:
         u, T = v[:4], v[4]
-        end, mono = _return_map_with_monodromy(config, u, T, max_steps)
+        end, mono = _return_map_with_monodromy(config, u, T)
         out = np.zeros((5, 5))
         out[:4, :4] = mono - np.eye(4)
         out[:4, 4] = standard_form_field(config, end)
@@ -166,8 +165,7 @@ def shoot(
 
     report = _converged("shooting", lambda: newton_solve(
         residual, np.append(seed, seed_period),
-        jacobian=jacobian, tol=_SHOOT_TOL, max_iter=max_iter,
-    ))
+        jacobian=jacobian, tol=_SHOOT_TOL))
     orbit = _certified_orbit(config, report, report.root[:4], float(report.root[4]), branch)
     # autonomous orbits carry the multiplier 1 exactly
     if orbit.trivial_multiplier_defect() > TRIVIAL_MULTIPLIER_TOL:
@@ -190,22 +188,19 @@ def _reported_in_scaled_frame(config: RegimeConfig):
         raise IntegrationError(str(exc), exc.reason, exc.last_time, state) from exc
 
 
-def _return_map(config: RegimeConfig, u, T: float, max_steps: int) -> np.ndarray:
+def _return_map(config: RegimeConfig, u, T: float) -> np.ndarray:
     """phi_T(u) = Phi(T) v(T), v integrated from u in the rotating frame."""
     with _reported_in_scaled_frame(config):
-        end = integrate(lambda t, v: rotating_field(config, t, v), u, T,
-                        max_steps=max_steps).states[-1]
+        end = integrate(lambda t, v: rotating_field(config, t, v), u, T).states[-1]
     return flow(config, end, T)
 
 
-def _return_map_with_monodromy(config: RegimeConfig, u, T: float,
-                               max_steps: int = MAX_STEPS) -> tuple[np.ndarray, np.ndarray]:
+def _return_map_with_monodromy(config: RegimeConfig, u, T: float) -> tuple[np.ndarray, np.ndarray]:
     """phi_T(u) and its monodromy Phi(T) W(T), from one rotating-frame variational run."""
     with _reported_in_scaled_frame(config):
         end, w = integrate_with_variational(
             lambda t, v: rotating_field(config, t, v), lambda t, v: rotating_jacobian(config, t, v),
-            u, T, max_steps,
-        )
+            u, T)
     return flow(config, end, T), fundamental_matrix(config, T) @ w
 
 

@@ -170,6 +170,13 @@ def test_verify_no_certifiable_orbit_exits_2(capsys):
     assert "numerical failure" in err
 
 
+def test_verify_overflow_is_a_numerical_failure_not_an_input_error(capsys):
+    # at eps = 1e300 a stage state overflows: exit 2, not the input error's 3
+    code, _, err = run(capsys, "verify", "--epsilon", "1e300")
+    assert code == 2
+    assert err.startswith("numerical failure: branch 1 failed: state became non-finite")
+
+
 def test_verify_inadmissible_exits_1_before_integration(capsys):
     code, _, err = run(capsys, "verify", "--b", "1", "--epsilon", "0.01")
     assert code == 1
