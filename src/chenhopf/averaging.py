@@ -101,17 +101,18 @@ def bifurcation_function_quadrature(config: RegimeConfig, u, nodes: int = 64) ->
     Composes the explicit inverse fundamental matrix, the closed-form flow
     and the perturbation column; shares no algebra with the closed form. The
     integrand is a trigonometric polynomial with at most 3 harmonics, so any
-    nodes >= 8 is exact to roundoff.
+    nodes >= 8 is exact to roundoff. All nodes go through each building
+    block in one batched call, and the result equals a per-node loop over
+    their scalar calls bit for bit.
     """
     if nodes < 8:
         raise ValueError(f"need at least 8 quadrature nodes, got {nodes}")
     u = np.asarray(u, dtype=float)
     T = period(config)
 
-    def integrand(t: float) -> np.ndarray:
-        state = flow(config, u, t)
-        _, perturbation = split_standard_form(config, state)
-        return fundamental_matrix_inverse(config, t) @ perturbation
+    def integrand(times: np.ndarray) -> np.ndarray:
+        _, perturbation = split_standard_form(config, flow(config, u, times))
+        return (fundamental_matrix_inverse(config, times) @ perturbation[:, :, None])[:, :, 0]
 
     return periodic_trapezoid(integrand, T, nodes)
 

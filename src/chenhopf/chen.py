@@ -212,11 +212,24 @@ def split_standard_form(config: RegimeConfig, state) -> tuple[np.ndarray, np.nda
     (a, eps*b, a, d, eps*r) by shrinking all four coordinates by epsilon; its right-hand side at a state s is
     ``linear + epsilon * perturbation`` for the two arrays returned here.
     The linear part is independent of b, r and epsilon.
+
+    state is one state (4,) or a stack (n, 4) of states; a stack gives two
+    (n, 4) arrays whose rows equal the per-state calls bit for bit (the zero
+    entries are filled with 0.0, so their sign does not depend on the state).
     """
-    x, y, z, w = _state(state)
     a, b, d, r = config.params.a, config.params.b, config.params.d, config.params.r
-    linear = np.array([a * (y - x) + w, d * x + a * y, 0.0, 0.0])
-    perturbation = np.array([0.0, -x * z, x * y - b * z, y * z + r * w])
+    s = np.asarray(state, dtype=float)
+    if s.ndim != 2 or s.shape[1] != 4:
+        x, y, z, w = _state(s)
+        linear = np.array([a * (y - x) + w, d * x + a * y, 0.0, 0.0])
+        perturbation = np.array([0.0, -x * z, x * y - b * z, y * z + r * w])
+        return linear, perturbation
+    if not np.isfinite(s).all():
+        raise ValueError(f"state contains non-finite entries: {s!r}")
+    x, y, z, w = s.T
+    zero = np.zeros(len(s))
+    linear = np.stack([a * (y - x) + w, d * x + a * y, zero, zero], axis=1)
+    perturbation = np.stack([zero, -x * z, x * y - b * z, y * z + r * w], axis=1)
     return linear, perturbation
 
 

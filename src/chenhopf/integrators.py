@@ -45,11 +45,13 @@ BLOWUP_NORM = 1e12
 #: per-step error tolerances: absolute, and relative to the state's max norm
 ABS_TOL = 1e-12
 REL_TOL = 1e-10
-#: step budget of every integration. Measured: the test-suite's longest run
-#: takes 999 step attempts (a five-period recurrence check), benchmark ops
-#: and CLI commands at most 92 (sweep over four epsilons); runs at very large
-#: epsilon, such as verify --epsilon 2, end here as "max_steps"
-MAX_STEPS = 100_000
+#: step budget of every integration, ten times the longest legitimate run.
+#: Measured: the test-suite's longest run takes 999 step attempts (a
+#: five-period recurrence check), benchmark ops and CLI commands at most 92
+#: (sweep over four epsilons). Trajectories that escape at very large
+#: epsilon (verify --epsilon 1, 2 or 1e5, orbit --epsilon 30) end here as
+#: "max_steps" within about 2 s instead of 5 to 17 s at a budget of 100_000
+MAX_STEPS = 10_000
 
 #: smallest step attempted before raising step_underflow
 _H_MIN = 1e3 * np.finfo(float).tiny

@@ -25,41 +25,71 @@ import numpy as np
 from .chen import RegimeConfig, _state, omega
 
 
-def flow(config: RegimeConfig, u, t: float) -> np.ndarray:
-    """Closed-form solution through u after time t: (x, y) rotate, z and w stay."""
+def _cos_sin(om: float, t):
+    """cos and sin of om * t: math for a scalar t, numpy elementwise for an array of times."""
+    if isinstance(t, np.ndarray):
+        phase = om * t
+        return np.cos(phase), np.sin(phase)
+    return math.cos(om * t), math.sin(om * t)
+
+
+def flow(config: RegimeConfig, u, t) -> np.ndarray:
+    """Closed-form solution through u after time t: (x, y) rotate, z and w stay.
+
+    u is one state (4,) or a stack (..., 4) of states, and t a time or an
+    array of times. The two broadcast: the result has shape
+    broadcast(u.shape[:-1], t.shape) + (4,), and each entry takes the
+    scalar call's operations in the same order.
+    """
     p = config.params
     om = omega(p)
-    x0, y0, z0, w0 = np.asarray(u, dtype=float)
+    u = np.asarray(u, dtype=float)
+    if u.ndim == 1:  # Python floats: the same IEEE results, cheaper
+        x0, y0, z0, w0 = u.tolist()
+    else:
+        x0, y0, z0, w0 = u[..., 0], u[..., 1], u[..., 2], u[..., 3]
     a, d = p.a, p.d
     ad = a + d
-    cos, sin = math.cos(om * t), math.sin(om * t)
+    cos, sin = _cos_sin(om, t)
     x = (w0 + (ad * x0 - w0) * cos - (om / a) * (w0 + a * (y0 - x0)) * sin) / ad
     y = ((d * w0 + a * ad * y0) * cos - d * w0 - om * (d * x0 + a * y0) * sin) / (a * ad)
-    return np.array([x, y, z0, w0])
+    if isinstance(x, float):
+        return np.array([x, y, z0, w0])
+    out = np.empty(x.shape + (4,))
+    out[..., 0], out[..., 1], out[..., 2], out[..., 3] = x, y, z0, w0
+    return out
 
 
 def fundamental_matrix(config: RegimeConfig, t: float) -> np.ndarray:
-    """Fundamental matrix with identity at t = 0, assembled from basis flows."""
-    return np.column_stack([flow(config, np.eye(4)[j], t) for j in range(4)])
+    """Fundamental matrix with identity at t = 0: column j is the flow of basis vector j."""
+    return flow(config, np.eye(4), t).T
 
 
-def fundamental_matrix_inverse(config: RegimeConfig, t: float) -> np.ndarray:
+def fundamental_matrix_inverse(config: RegimeConfig, t) -> np.ndarray:
     """Explicit inverse of the fundamental matrix.
 
     Hand-written entries in cos/sin; cross-checked in the test-suite against
-    the numerically inverted fundamental_matrix.
+    the numerically inverted fundamental_matrix. For an array of times the
+    result has shape t.shape + (4, 4), each matrix equal to the scalar call's.
     """
     p = config.params
     om = omega(p)
     a, d = p.a, p.d
     ad = a + d
-    cos, sin = math.cos(om * t), math.sin(om * t)
-    return np.array([
+    cos, sin = _cos_sin(om, t)
+    rows = [
         [cos + (a / om) * sin, -(a / om) * sin, 0.0, (1 - cos + (om / a) * sin) / ad],
         [-(d / om) * sin, cos - (a / om) * sin, 0.0, d * (cos - 1) / (a * ad)],
         [0.0, 0.0, 1.0, 0.0],
         [0.0, 0.0, 0.0, 1.0],
-    ])
+    ]
+    if isinstance(cos, float):
+        return np.array(rows)
+    out = np.empty(cos.shape + (4, 4))
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            out[..., i, j] = entry
+    return out
 
 
 def inverse_gap(config: RegimeConfig, t: float) -> float:

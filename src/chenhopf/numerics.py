@@ -125,28 +125,36 @@ def determinant(matrix: np.ndarray) -> complex | float:
 
 
 def periodic_trapezoid(
-    integrand: Callable[[float], np.ndarray], period: float, nodes: int
+    integrand: Callable[[np.ndarray], np.ndarray], period: float, nodes: int
 ) -> np.ndarray:
     """Mean value of a periodic vector integrand over one period.
 
     Equispaced sampling on [0, period); for a periodic integrand this is the
     trapezoid rule, and it is exact (to roundoff) whenever the integrand is a
     trigonometric polynomial with fewer than `nodes` harmonics.
+
+    The integrand is called once, on the array of node times
+    ``period * k / nodes`` (k = 0, ..., nodes - 1), and returns an
+    (nodes, m) array whose row k is the sample at node k. The rows are summed
+    in node order, as a running sum over the nodes would add them.
     """
     if not period > 0:
         raise ValueError(f"period must be positive, got {period}")
     if nodes < 4:
         raise ValueError(f"need at least 4 nodes, got {nodes}")
-    acc = None
-    for k in range(nodes):
-        t = period * k / nodes
-        sample = np.asarray(integrand(t), dtype=float)
-        if not np.all(np.isfinite(sample)):
-            raise ValueError(
-                f"integrand returned non-finite value {sample!r} at node {k} (t={t!r})"
-            )
-        acc = sample if acc is None else acc + sample
-    return acc / nodes
+    times = period * np.arange(nodes) / nodes
+    # in C order axis 0 is not the contiguous axis, so numpy adds the rows one
+    # after another, as the loop did, and not pairwise
+    samples = np.asarray(integrand(times), dtype=float, order="C")
+    if samples.ndim != 2 or samples.shape[0] != nodes:
+        raise ValueError(f"integrand must return shape ({nodes}, m), got {samples.shape}")
+    finite = np.isfinite(samples).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValueError(
+            f"integrand returned non-finite value {samples[k]!r} at node {k} (t={float(times[k])!r})"
+        )
+    return np.add.reduce(samples, axis=0) / nodes
 
 
 def finite_difference_jacobian(

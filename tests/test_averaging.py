@@ -13,7 +13,8 @@ from chenhopf.averaging import (
     refine_zero,
     stability_verdict,
 )
-from chenhopf.chen import RegimeConfig, RegimeError, random_admissible_config
+from chenhopf.chen import RegimeConfig, RegimeError, random_admissible_config, split_standard_form
+from chenhopf.linear_flow import flow, fundamental_matrix_inverse, period
 from chenhopf.numerics import QuarticSpectrum
 
 CANONICAL_P1 = np.array([-0.5, -1.0, -0.5, -0.5])
@@ -67,6 +68,29 @@ def test_quadrature_node_count_plateau(canonical, rng):
 def test_quadrature_rejects_few_nodes(canonical):
     with pytest.raises(ValueError):
         bifurcation_function_quadrature(canonical, np.zeros(4), nodes=7)
+
+
+def _quadrature_by_loop(cfg, u, nodes):
+    """The quadrature as a per-node loop of scalar building-block calls with a running sum."""
+    T = period(cfg)
+    acc = None
+    for k in range(nodes):
+        t = T * k / nodes
+        _, perturbation = split_standard_form(cfg, flow(cfg, u, t))
+        sample = fundamental_matrix_inverse(cfg, t) @ perturbation
+        acc = sample if acc is None else acc + sample
+    return acc / nodes
+
+
+@pytest.mark.parametrize("nodes", [8, 9, 17, 64])
+def test_quadrature_is_bit_identical_to_a_per_node_loop(canonical, admissible_configs, rng, nodes):
+    # the batched pass must not change a single bit, so every output that
+    # reads the quadrature stays byte-reproducible; a numpy build whose cos,
+    # sin, matmul or axis-0 sum differs from the scalar route fails here
+    for cfg in [canonical] + admissible_configs:
+        for u in rng.uniform(-2, 2, (5, 4)):
+            batched = bifurcation_function_quadrature(cfg, u, nodes)
+            assert batched.tobytes() == _quadrature_by_loop(cfg, u, nodes).tobytes()
 
 
 # ------------------------------------------------------------ zeros

@@ -170,6 +170,26 @@ def test_inverse_matrix_matches_numerical_inversion(rng):
         assert np.max(np.abs(numeric_inverse - fundamental_matrix_inverse(cfg, t))) < 1e-9
 
 
+def test_batched_calls_equal_the_stack_of_scalar_calls(admissible_configs, rng):
+    for cfg in [canonical_config(0.01)] + admissible_configs:
+        times = rng.uniform(-20, 20, 16)
+        states = rng.uniform(-2, 2, (16, 4))
+        states[0] = [-1.5, 0.0, -0.0, -2.0]  # negative entries give signed zeros
+        u = states[1]
+        one_state = np.array([flow(cfg, u, t) for t in times])
+        assert flow(cfg, u, times).tobytes() == one_state.tobytes()
+        pairwise = np.array([flow(cfg, s, t) for s, t in zip(states, times)])
+        assert flow(cfg, states, times).tobytes() == pairwise.tobytes()
+        inverses = np.array([fundamental_matrix_inverse(cfg, t) for t in times])
+        assert fundamental_matrix_inverse(cfg, times).tobytes() == inverses.tobytes()
+        linear, perturbation = split_standard_form(cfg, states)
+        for s, lin_row, pert_row in zip(states, linear, perturbation):
+            lin, pert = split_standard_form(cfg, s)
+            assert lin_row.tobytes() == lin.tobytes() and pert_row.tobytes() == pert.tobytes()
+        basis_flows = np.column_stack([flow(cfg, e, times[0]) for e in np.eye(4)])
+        assert fundamental_matrix(cfg, times[0]).tobytes() == basis_flows.tobytes()
+
+
 # ------------------------------------------------------------ period data
 
 def test_period_values():

@@ -17,8 +17,15 @@ from chenhopf.numerics import (
 
 # ------------------------------------------------------------ quadrature
 
+def _first_column(values):
+    """An integrand's (nodes, 4) samples: values in column 0, zeros elsewhere."""
+    out = np.zeros((len(values), 4))
+    out[:, 0] = values
+    return out
+
+
 def test_trapezoid_full_period_cosine_averages_to_zero():
-    out = periodic_trapezoid(lambda t: np.array([np.cos(t), 0, 0, 0]), 2 * np.pi, 16)
+    out = periodic_trapezoid(lambda t: _first_column(np.cos(t)), 2 * np.pi, 16)
     assert np.max(np.abs(out)) < 1e-14
 
 
@@ -27,7 +34,7 @@ def test_trapezoid_cosine_squared_matches_riemann_oracle():
     ts = 2 * np.pi * np.arange(1_000_000) / 1_000_000
     oracle = float(np.mean(np.cos(ts) ** 2))
     assert abs(oracle - 0.5) < 1e-9
-    out = periodic_trapezoid(lambda t: np.array([np.cos(t) ** 2, 0, 0, 0]), 2 * np.pi, 16)
+    out = periodic_trapezoid(lambda t: _first_column(np.cos(t) ** 2), 2 * np.pi, 16)
     assert abs(out[0] - oracle) < 1e-9
     assert abs(out[0] - 0.5) < 1e-14
     assert np.max(np.abs(out[1:])) == 0.0
@@ -35,23 +42,25 @@ def test_trapezoid_cosine_squared_matches_riemann_oracle():
 
 def test_trapezoid_constant_integrand_is_identity():
     const = np.array([1.0, 2.0, 3.0, 4.0])
-    out = periodic_trapezoid(lambda t: const, 7.3, 8)
+    out = periodic_trapezoid(lambda t: np.tile(const, (t.size, 1)), 7.3, 8)
     assert np.array_equal(out, const)
 
 
 def test_trapezoid_input_validation():
-    f = lambda t: np.zeros(4)
+    f = lambda t: np.zeros((t.size, 4))
     with pytest.raises(ValueError):
         periodic_trapezoid(f, 0.0, 8)
     with pytest.raises(ValueError):
         periodic_trapezoid(f, 1.0, 3)
+    with pytest.raises(ValueError, match=r"must return shape \(8, m\)"):
+        periodic_trapezoid(lambda t: np.zeros(4), 1.0, 8)
 
 
 def test_trapezoid_nonfinite_sample_names_the_node():
     def bad(t):
-        return np.array([np.nan, 0, 0, 0]) if t > 3.0 else np.zeros(4)
+        return _first_column(np.where(t > 3.0, np.nan, 0.0))
 
-    with pytest.raises(ValueError, match="node"):
+    with pytest.raises(ValueError, match=r"at node 4 \(t="):
         periodic_trapezoid(bad, 2 * np.pi, 8)
 
 
@@ -65,10 +74,10 @@ def test_trapezoid_is_linear_in_the_integrand(coeffs, alpha, beta):
     c = np.array(coeffs)
 
     def f(t):
-        return np.array([c[0] + c[1] * np.cos(t) + c[2] * np.sin(2 * t), 0, 0, 0])
+        return _first_column(c[0] + c[1] * np.cos(t) + c[2] * np.sin(2 * t))
 
     def g(t):
-        return np.array([c[3] + c[4] * np.sin(t) + c[5] * np.cos(3 * t), 0, 0, 0])
+        return _first_column(c[3] + c[4] * np.sin(t) + c[5] * np.cos(3 * t))
 
     combined = periodic_trapezoid(lambda t: alpha * f(t) + beta * g(t), 2 * np.pi, 16)
     separate = (alpha * periodic_trapezoid(f, 2 * np.pi, 16)
@@ -80,11 +89,10 @@ def test_trapezoid_node_doubling_plateau(rng):
     c = rng.uniform(-1, 1, 7)
 
     def f(t):
-        return np.array([
+        return _first_column(
             c[0] + c[1] * np.cos(t) + c[2] * np.sin(t) + c[3] * np.cos(2 * t)
-            + c[4] * np.sin(2 * t) + c[5] * np.cos(3 * t) + c[6] * np.sin(3 * t),
-            0, 0, 0,
-        ])
+            + c[4] * np.sin(2 * t) + c[5] * np.cos(3 * t) + c[6] * np.sin(3 * t)
+        )
 
     a = periodic_trapezoid(f, 2 * np.pi, 8)
     b = periodic_trapezoid(f, 2 * np.pi, 16)
