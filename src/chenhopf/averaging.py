@@ -69,12 +69,24 @@ class StabilityVerdict:
 
 
 def bifurcation_function(config: RegimeConfig, u) -> np.ndarray:
-    """Closed-form bifurcation function."""
+    """Closed-form bifurcation function.
+
+    u is one point (4,) or a stack (k, 4) of points; a stack gives the
+    (k, 4) stack of values, each row equal to the single call's bit for bit.
+    """
     omega(config.params)  # raises RegimeError outside the elliptic regime
     p = config.params
     a, b, d, r = p.a, p.b, p.d, p.r
     ad = a + d
-    x0, y0, z0, w0 = np.asarray(u, dtype=float)
+    u = np.asarray(u, dtype=float)
+    if u.ndim == 1:  # Python floats: the same IEEE results, cheaper
+        x0, y0, z0, w0 = u.tolist()
+        xx, yy, ww = x0**2, y0**2, w0**2
+    else:
+        x0, y0, z0, w0 = np.moveaxis(u, -1, 0)
+        # ** squares a float by libm pow but an array by x * x, which differs
+        # from pow in the last bit for some x; float_power is pow
+        xx, yy, ww = np.float_power(x0, 2), np.float_power(y0, 2), np.float_power(w0, 2)
     f1 = (
         r * w0 / ad
         + d * z0 * (ad * x0 - 3 * w0) / (2 * a * ad**2)
@@ -86,13 +98,15 @@ def bifurcation_function(config: RegimeConfig, u) -> np.ndarray:
         - (d * x0 + a * y0) * z0 / (2 * ad)
     )
     f3 = (
-        d**2 * (x0**2 - 2 * b * z0) / (2 * ad**2)
+        d**2 * (xx - 2 * b * z0) / (2 * ad**2)
         + a * (-2 * a * b * z0 - y0 * (2 * w0 + a * (y0 - 2 * x0))) / (2 * ad**2)
-        - (3 * w0**2 + 2 * a * w0 * y0) * d / (2 * a * ad**2)
-        + a * d * (x0**2 + 2 * x0 * y0 - y0**2 - 4 * b * z0) / (2 * ad**2)
+        - (3 * ww + 2 * a * w0 * y0) * d / (2 * a * ad**2)
+        + a * d * (xx + 2 * x0 * y0 - yy - 4 * b * z0) / (2 * ad**2)
     )
     f4 = w0 * (r - d * z0 / (a * ad))
-    return np.array([f1, f2, f3, f4])
+    if isinstance(f4, float):
+        return np.array([f1, f2, f3, f4])
+    return np.stack([f1, f2, f3, f4], axis=-1)
 
 
 def bifurcation_function_quadrature(config: RegimeConfig, u, nodes: int = 64) -> np.ndarray:
@@ -101,9 +115,10 @@ def bifurcation_function_quadrature(config: RegimeConfig, u, nodes: int = 64) ->
     Composes the explicit inverse fundamental matrix, the closed-form flow
     and the perturbation column; shares no algebra with the closed form. The
     integrand is a trigonometric polynomial with at most 3 harmonics, so any
-    nodes >= 8 is exact to roundoff. All nodes go through each building
-    block in one batched call, and the result equals a per-node loop over
-    their scalar calls bit for bit.
+    nodes >= 8 is exact to roundoff. u is one point (4,) or a stack (k, 4)
+    of points, and the result has u's shape. All nodes of all points go
+    through each building block in one batched call, and each row equals a
+    per-node loop over their scalar calls bit for bit.
     """
     if nodes < 8:
         raise ValueError(f"need at least 8 quadrature nodes, got {nodes}")
@@ -111,25 +126,29 @@ def bifurcation_function_quadrature(config: RegimeConfig, u, nodes: int = 64) ->
     T = period(config)
 
     def integrand(times: np.ndarray) -> np.ndarray:
-        _, perturbation = split_standard_form(config, flow(config, u, times))
-        return (fundamental_matrix_inverse(config, times) @ perturbation[:, :, None])[:, :, 0]
+        states = flow(config, u.reshape(-1, 1, 4), times)  # (k, nodes, 4)
+        k = states.shape[0]
+        _, perturbation = split_standard_form(config, states.reshape(-1, 4))
+        inverse = np.tile(fundamental_matrix_inverse(config, times), (k, 1, 1))
+        samples = (inverse @ perturbation[:, :, None])[:, :, 0]
+        # node-major rows, so periodic_trapezoid adds each point's nodes in order
+        return samples.reshape(k, nodes, 4).transpose(1, 0, 2).reshape(nodes, 4 * k)
 
-    return periodic_trapezoid(integrand, T, nodes)
+    return periodic_trapezoid(integrand, T, nodes).reshape(u.shape)
 
 
 def quadrature_gap(config: RegimeConfig, points) -> float:
     """Worst closed-form vs quadrature gap over the rows of points.
 
     Each row's max|f_closed - f_quad| is divided by 1 + max|u|^2, the size of
-    the quadratic map's values there.
+    the quadratic map's values there. Both routes take the whole stack at once.
     """
-    worst = 0.0
-    for u in np.asarray(points, dtype=float):
-        diff = float(np.max(np.abs(
-            bifurcation_function(config, u) - bifurcation_function_quadrature(config, u)
-        )))
-        worst = max(worst, diff / (1 + float(np.max(np.abs(u))) ** 2))
-    return worst
+    points = np.asarray(points, dtype=float)
+    diff = np.max(np.abs(
+        bifurcation_function(config, points) - bifurcation_function_quadrature(config, points)
+    ), axis=1)
+    scale = 1 + np.float_power(np.max(np.abs(points), axis=1), 2)
+    return float(np.max(diff / scale, initial=0.0))
 
 
 def averaged_zero_points(config: RegimeConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -221,23 +221,25 @@ def integrate(
 
 
 def integrate_with_variational(
-    field: Callable[[float, np.ndarray], np.ndarray],
-    field_jacobian: Callable[[float, np.ndarray], np.ndarray],
+    field_and_jacobian: Callable[[float, np.ndarray], tuple[np.ndarray, np.ndarray]],
     u0,
     t_end: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Flow endpoint and the derivative of the flow map w.r.t. u0.
 
-    Integrates the state together with the 4x4 variational matrix (identity
-    at t = 0) as one 20-dimensional system; the returned matrix is the
-    monodromy matrix when t_end is the orbit period.
+    field_and_jacobian(t, y) returns the field and its state Jacobian at
+    (t, y), so both can share their work on the state. Integrates the state
+    together with the 4x4 variational matrix (identity at t = 0) as one
+    20-dimensional system; the returned matrix is the monodromy matrix when
+    t_end is the orbit period.
     """
     u0 = np.asarray(u0, dtype=float)
     n = u0.size
 
     def augmented(t: float, y: np.ndarray) -> np.ndarray:
         state, mat = y[:n], y[n:].reshape(n, n)
-        return np.concatenate([field(t, state), (field_jacobian(t, state) @ mat).ravel()])
+        field, jacobian = field_and_jacobian(t, state)
+        return np.concatenate([field, (jacobian @ mat).ravel()])
 
     y0 = np.concatenate([u0, np.eye(n).ravel()])
     final = _adaptive_rk45(augmented, y0, t_end).states[-1]

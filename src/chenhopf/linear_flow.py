@@ -15,6 +15,8 @@ construction.
 rotating_field is the standard form u' = L u + eps N(u) in the rotating
 frame u = Phi(t) v (Lagrange standard form): v' = eps Phi(t)^{-1} N(Phi(t) v),
 only the slow drift, since the rotation is solved in closed form.
+rotating_field_and_jacobian returns that field with its state Jacobian, for
+variational runs, and rotates v once for both.
 """
 from __future__ import annotations
 
@@ -126,18 +128,21 @@ def rotating_field(config: RegimeConfig, t: float, v) -> np.ndarray:
     return np.array([eps * (q01 * n1 + q03 * n3), eps * (q11 * n1 + q13 * n3), eps * n2, eps * n3])
 
 
-def rotating_jacobian(config: RegimeConfig, t: float, v) -> np.ndarray:
-    """eps Phi(t)^{-1} DN(Phi(t) v) Phi(t): the state Jacobian of rotating_field."""
-    x, y, z, _, (p00, p01, p03, p10, p11, p13), (q01, q03, q11, q13) = _rotating(config, t, v)
+def rotating_field_and_jacobian(config: RegimeConfig, t: float, v) -> tuple[np.ndarray, np.ndarray]:
+    """rotating_field and its state Jacobian eps Phi(t)^{-1} DN(Phi(t) v) Phi(t), from one _rotating call."""
+    x, y, z, w, (p00, p01, p03, p10, p11, p13), (q01, q03, q11, q13) = _rotating(config, t, v)
     b, r, eps = config.params.b, config.params.r, config.epsilon
+    n1, n2, n3 = -x * z, x * y - b * z, y * z + r * w
+    field = np.array([eps * (q01 * n1 + q03 * n3), eps * (q11 * n1 + q13 * n3), eps * n2, eps * n3])
     # rows y and w of DN(u) Phi are (g0, g1, -x, g3) and (h0, h1, y, h3); row x is zero
     g0, g1, g3 = -z * p00, -z * p01, -z * p03
     h0, h1, h3 = z * p10, z * p11, z * p13 + r
     # Phi^{-1} mixes rows y and w into rows x and y and passes rows z and w through
     a1, a3, c1, c3 = eps * q01, eps * q03, eps * q11, eps * q13
-    return np.array([
+    jacobian = np.array([
         a1 * g0 + a3 * h0, a1 * g1 + a3 * h1, a3 * y - a1 * x, a1 * g3 + a3 * h3,
         c1 * g0 + c3 * h0, c1 * g1 + c3 * h1, c3 * y - c1 * x, c1 * g3 + c3 * h3,
         eps * (y * p00 + x * p10), eps * (y * p01 + x * p11), -eps * b, eps * (y * p03 + x * p13),
         eps * h0, eps * h1, eps * y, eps * h3,
     ]).reshape(4, 4)
+    return field, jacobian

@@ -6,6 +6,10 @@ eigenvalues with a backward-error certificate relative to the matrix norm,
 and a damped Newton iteration with a conditioning check. numpy.linalg does
 the linear algebra.
 
+Residuals are stacked: a residual differentiated by central differences
+maps one point (n,) to its value (m,) and a (k, n) stack of points to the
+(k, m) stack of their values, so a Jacobian costs one residual call.
+
 Newton says why it stopped (NewtonReport.reason): "converged" at the
 tolerance; "line_search_failed" when no damped step down to LAMBDA_MIN
 lowers the residual, so it returns the current iterate instead of a worse
@@ -162,19 +166,25 @@ def finite_difference_jacobian(
     point: np.ndarray,
     step: float = DEFAULT_FD_STEP,
 ) -> np.ndarray:
-    """Central-difference Jacobian, column j stepped by step*max(1, |x_j|)."""
+    """Central-difference Jacobian, column j stepped by h_j = step*max(1, |x_j|).
+
+    residual takes a stack: it is called once, on the (2n, n) array whose
+    row j is x + h_j e_j and row n + j is x - h_j e_j, and returns the
+    (2n, m) stack of their values. Column j is (f(x + h_j e_j) - f(x - h_j
+    e_j)) / (2 h_j), the same operations as one pair of calls per column.
+    """
     if not step > 0:
         raise ValueError(f"step must be positive, got {step}")
     x = np.asarray(point, dtype=float)
     _require_finite(x, "point")
     n = x.size
-    cols = []
-    for j in range(n):
-        h = step * max(1.0, abs(x[j]))
-        e = np.zeros(n)
-        e[j] = h
-        cols.append((np.asarray(residual(x + e)) - np.asarray(residual(x - e))) / (2 * h))
-    jac = np.column_stack(cols)
+    h = step * np.maximum(1.0, np.abs(x))
+    shift = np.diag(h)
+    values = np.asarray(residual(np.concatenate([x + shift, x - shift])), dtype=float)
+    if values.ndim != 2 or values.shape[0] != 2 * n:
+        raise ValueError(f"residual must return shape ({2 * n}, m) for a stack of {2 * n} points, "
+                         f"got {values.shape}")
+    jac = (values[:n] - values[n:]).T / (2 * h)
     _require_finite(jac, "finite-difference Jacobian")
     return jac
 
@@ -197,6 +207,10 @@ def newton_solve(
     "line_search_failed") or the MAX_ITER budget ran out ("max_iter"). A
     Jacobian that numpy cannot factor, or whose condition number exceeds
     1/RCOND_MIN, raises SingularMatrixError.
+
+    residual maps one point (n,) to its value (m,). Without a jacobian the
+    Jacobian is finite_difference_jacobian's, so residual must also map a
+    (k, n) stack of points to the (k, m) stack of their values.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")

@@ -55,7 +55,7 @@ from .chen import (
     vector_field_full,
 )
 from .integrators import IntegrationError, Trajectory, integrate, integrate_with_variational
-from .linear_flow import flow, fundamental_matrix, period, rotating_field, rotating_jacobian
+from .linear_flow import flow, fundamental_matrix, period, rotating_field, rotating_field_and_jacobian
 from .numerics import EigenSolveError, NewtonReport, QuarticSpectrum, SingularMatrixError, eig4, newton_solve
 
 #: accepted orbits must close up to this return-map residual
@@ -199,8 +199,7 @@ def _return_map_with_monodromy(config: RegimeConfig, u, T: float) -> tuple[np.nd
     """phi_T(u) and its monodromy Phi(T) W(T), from one rotating-frame variational run."""
     with _reported_in_scaled_frame(config):
         end, w = integrate_with_variational(
-            lambda t, v: rotating_field(config, t, v), lambda t, v: rotating_jacobian(config, t, v),
-            u, T)
+            lambda t, v: rotating_field_and_jacobian(config, t, v), u, T)
     return flow(config, end, T), fundamental_matrix(config, T) @ w
 
 

@@ -4,6 +4,7 @@ import pytest
 from chenhopf import averaging
 from chenhopf.averaging import (
     averaged_spectrum,
+    averaged_zero_points,
     averaged_zeros,
     bifurcation_function,
     bifurcation_function_quadrature,
@@ -15,7 +16,7 @@ from chenhopf.averaging import (
 )
 from chenhopf.chen import RegimeConfig, RegimeError, random_admissible_config, split_standard_form
 from chenhopf.linear_flow import flow, fundamental_matrix_inverse, period
-from chenhopf.numerics import QuarticSpectrum
+from chenhopf.numerics import DEFAULT_FD_STEP, QuarticSpectrum, finite_difference_jacobian
 
 CANONICAL_P1 = np.array([-0.5, -1.0, -0.5, -0.5])
 CANONICAL_P2 = np.array([0.5, 1.0, -0.5, 0.5])
@@ -91,6 +92,53 @@ def test_quadrature_is_bit_identical_to_a_per_node_loop(canonical, admissible_co
         for u in rng.uniform(-2, 2, (5, 4)):
             batched = bifurcation_function_quadrature(cfg, u, nodes)
             assert batched.tobytes() == _quadrature_by_loop(cfg, u, nodes).tobytes()
+
+
+# the closed form squares x0 = -1.3275170599102342 one bit apart as x * x and as pow
+_SQUARE_TRAP = np.array([-1.3275170599102342, 0.7, -0.4, 1.1])
+
+
+def test_stacked_closed_form_is_bit_identical_to_per_row_calls(canonical, admissible_configs, rng):
+    for cfg in [canonical] + admissible_configs:
+        points = np.vstack([_SQUARE_TRAP, _SQUARE_TRAP[[1, 0, 2, 3]], _SQUARE_TRAP[[1, 2, 3, 0]],
+                            rng.uniform(-2, 2, (40, 4))])
+        stacked = bifurcation_function(cfg, points)
+        assert stacked.shape == points.shape
+        assert stacked.tobytes() == np.array([bifurcation_function(cfg, u) for u in points]).tobytes()
+
+
+@pytest.mark.parametrize("nodes", [8, 9, 17, 64])
+def test_stacked_quadrature_is_bit_identical_to_single_calls(canonical, admissible_configs, rng, nodes):
+    for cfg in [canonical] + admissible_configs:
+        points = np.vstack([_SQUARE_TRAP, rng.uniform(-2, 2, (7, 4))])
+        stacked = bifurcation_function_quadrature(cfg, points, nodes)
+        assert stacked.shape == points.shape
+        single = np.array([bifurcation_function_quadrature(cfg, u, nodes) for u in points])
+        assert stacked.tobytes() == single.tobytes()
+
+
+def _fd_jacobian_by_columns(residual, x, step):
+    """Central differences one column at a time, each from two single-point calls."""
+    cols = []
+    for j in range(x.size):
+        h = step * max(1.0, abs(x[j]))
+        e = np.zeros(x.size)
+        e[j] = h
+        cols.append((residual(x + e) - residual(x - e)) / (2 * h))
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("route", [bifurcation_function, bifurcation_function_quadrature],
+                         ids=["closed", "quadrature"])
+def test_stacked_fd_jacobian_is_bit_identical_to_a_per_column_loop(canonical, admissible_configs,
+                                                                   rng, route):
+    for cfg in [canonical] + admissible_configs:
+        residual = lambda v: route(cfg, v)
+        seeds = [_SQUARE_TRAP, *averaged_zero_points(cfg), *rng.uniform(-3, 3, (3, 4))]
+        for x in seeds:
+            for step in (DEFAULT_FD_STEP, 1e-3):
+                stacked = finite_difference_jacobian(residual, x, step=step)
+                assert stacked.tobytes() == _fd_jacobian_by_columns(residual, x, step).tobytes()
 
 
 # ------------------------------------------------------------ zeros

@@ -104,7 +104,7 @@ def test_jacobian_matches_finite_differences(rng):
         p = _random_params(rng)
         s = rng.uniform(-2, 2, 4)
         jac = jacobian_full(p, s)
-        fd = finite_difference_jacobian(lambda v: vector_field_full(p, v), s)
+        fd = finite_difference_jacobian(lambda vs: np.array([vector_field_full(p, v) for v in vs]), s)
         scale = 1.0 + np.max(np.abs(jac))
         assert np.max(np.abs(jac - fd)) / scale < 1e-6
 
@@ -299,5 +299,5 @@ def test_standard_form_jacobian_matches_finite_differences(rng):
     cfg = canonical_config(0.3)
     for _ in range(10):
         s = rng.uniform(-2, 2, 4)
-        fd = finite_difference_jacobian(lambda v: standard_form_field(cfg, v), s)
+        fd = finite_difference_jacobian(lambda vs: np.array([standard_form_field(cfg, v) for v in vs]), s)
         assert np.max(np.abs(standard_form_jacobian(cfg, s) - fd)) < 1e-6

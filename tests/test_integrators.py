@@ -11,7 +11,7 @@ from chenhopf.integrators import (
     integrate,
     integrate_with_variational,
 )
-from chenhopf.linear_flow import flow, fundamental_matrix, period, rotating_field, rotating_jacobian
+from chenhopf.linear_flow import flow, fundamental_matrix, period, rotating_field, rotating_field_and_jacobian
 from chenhopf.numerics import finite_difference_jacobian, newton_solve, periodic_trapezoid
 from chenhopf.orbits import branch_study, shoot
 
@@ -107,7 +107,8 @@ def test_step_controller_field_evaluation_counts(eps, plain_evals, variational_e
     integrate(counted_field, u0, 2 * np.pi)
     assert calls == plain_evals
     calls = 0
-    integrate_with_variational(counted_field, lambda t, s: standard_form_jacobian(cfg, s), u0, 2 * np.pi)
+    integrate_with_variational(
+        lambda t, s: (counted_field(t, s), standard_form_jacobian(cfg, s)), u0, 2 * np.pi)
     assert calls == variational_evals
 
 
@@ -124,15 +125,17 @@ def test_rotating_frame_field_evaluation_counts(eps, plain_evals, variational_ev
     u0 = averaged_zeros(cfg)[0].point
     calls = 0
 
-    def counted_field(t, v):
-        nonlocal calls
-        calls += 1
-        return rotating_field(cfg, t, v)
+    def counted(call):
+        def wrapped(t, v):
+            nonlocal calls
+            calls += 1
+            return call(cfg, t, v)
+        return wrapped
 
-    integrate(counted_field, u0, 2 * np.pi)
+    integrate(counted(rotating_field), u0, 2 * np.pi)
     assert calls == plain_evals
     calls = 0
-    integrate_with_variational(counted_field, lambda t, v: rotating_jacobian(cfg, t, v), u0, 2 * np.pi)
+    integrate_with_variational(counted(rotating_field_and_jacobian), u0, 2 * np.pi)
     assert calls == variational_evals
 
 
@@ -224,10 +227,10 @@ _NAN, _INF = float("nan"), float("inf")
     pytest.param(lambda: integrate(_never_called, np.ones(4), _INF), id="integrate-t_end-inf"),
     pytest.param(lambda: integrate(_never_called, np.array([1.0, _NAN, 0.0, 0.0]), 1.0),
                  id="integrate-u0-nan"),
-    pytest.param(lambda: integrate_with_variational(_never_called, _never_called, np.ones(4), _NAN),
+    pytest.param(lambda: integrate_with_variational(_never_called, np.ones(4), _NAN),
                  id="variational-t_end-nan"),
     pytest.param(lambda: integrate_with_variational(
-        _never_called, _never_called, np.array([_INF, 0.0, 0.0, 0.0]), 1.0),
+        _never_called, np.array([_INF, 0.0, 0.0, 0.0]), 1.0),
                  id="variational-u0-inf"),
 ])
 def test_input_guards_reject_non_finite_values(call):
@@ -239,7 +242,7 @@ def test_input_guards_reject_non_finite_values(call):
 
 def test_variational_zero_field_gives_identity():
     final, mono = integrate_with_variational(
-        lambda t, s: np.zeros(4), lambda t, s: np.zeros((4, 4)), np.ones(4), 2.0
+        lambda t, s: (np.zeros(4), np.zeros((4, 4))), np.ones(4), 2.0
     )
     assert np.array_equal(final, np.ones(4))
     assert np.max(np.abs(mono - np.eye(4))) < 1e-14
@@ -249,8 +252,7 @@ def test_variational_unperturbed_monodromy_is_identity():
     cfg = canonical_config(0.0)
     T = period(cfg)
     _, mono = integrate_with_variational(
-        lambda t, s: standard_form_field(cfg, s),
-        lambda t, s: standard_form_jacobian(cfg, s),
+        lambda t, s: (standard_form_field(cfg, s), standard_form_jacobian(cfg, s)),
         np.array([0.4, -0.1, 0.7, 0.2]), T,
     )
     assert np.max(np.abs(mono - np.eye(4))) < 1e-8
@@ -260,8 +262,7 @@ def test_variational_matches_fundamental_matrix(rng):
     cfg = canonical_config(0.0)
     for t_end in (0.7, 2.3):
         _, mono = integrate_with_variational(
-            lambda t, s: standard_form_field(cfg, s),
-            lambda t, s: standard_form_jacobian(cfg, s),
+            lambda t, s: (standard_form_field(cfg, s), standard_form_jacobian(cfg, s)),
             rng.uniform(-1, 1, 4), t_end,
         )
         assert np.max(np.abs(mono - fundamental_matrix(cfg, t_end))) < 1e-8
@@ -272,7 +273,7 @@ def test_variational_matches_flow_map_finite_differences(rng):
     field = lambda t, s: standard_form_field(cfg, s)
     u0 = rng.uniform(-0.5, 0.5, 4)
     _, mono = integrate_with_variational(
-        field, lambda t, s: standard_form_jacobian(cfg, s), u0, 1.0,
+        lambda t, s: (field(t, s), standard_form_jacobian(cfg, s)), u0, 1.0,
     )
     fd = np.zeros((4, 4))
     for j in range(4):

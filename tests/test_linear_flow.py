@@ -26,7 +26,7 @@ from chenhopf.linear_flow import (
     inverse_gap,
     period,
     rotating_field,
-    rotating_jacobian,
+    rotating_field_and_jacobian,
 )
 
 
@@ -220,11 +220,35 @@ def test_rotating_pair_matches_the_composed_standard_form(rng):
         field = cfg.epsilon * inv @ split_standard_form(cfg, u)[1]
         jac = inv @ (standard_form_jacobian(cfg, u)
                      - standard_form_jacobian(cfg.with_epsilon(0.0), u)) @ fundamental_matrix(cfg, t)
-        for got, ref in ((rotating_field(cfg, t, v), field), (rotating_jacobian(cfg, t, v), jac)):
+        for got, ref in ((rotating_field(cfg, t, v), field),
+                         (rotating_field_and_jacobian(cfg, t, v)[1], jac)):
             assert np.max(np.abs(got - ref)) <= 1e-13 * (1 + np.max(np.abs(ref)))
 
 
-@pytest.mark.parametrize("call", [rotating_field, rotating_jacobian])
+def test_rotating_field_and_jacobian_is_the_field_and_the_composed_jacobian(rng):
+    # the pair's field is rotating_field's bit for bit, and its Jacobian meets
+    # the composed reference above
+    for _ in range(200):
+        cfg = random_admissible_config(rng).with_epsilon(rng.uniform(0.0, 0.1))
+        t, v = rng.uniform(-10, 10), rng.uniform(-2, 2, 4)
+        field, jacobian = rotating_field_and_jacobian(cfg, t, v)
+        assert field.tobytes() == rotating_field(cfg, t, v).tobytes()
+        u, inv = flow(cfg, v, t), fundamental_matrix_inverse(cfg, t)
+        ref = inv @ (standard_form_jacobian(cfg, u)
+                     - standard_form_jacobian(cfg.with_epsilon(0.0), u)) @ fundamental_matrix(cfg, t)
+        assert jacobian.shape == (4, 4)
+        assert np.max(np.abs(jacobian - ref)) <= 1e-13 * (1 + np.max(np.abs(ref)))
+
+
+def _rotating_pair(cfg, t, v):
+    """rotating_field_and_jacobian's field and Jacobian entries as one flat array."""
+    return np.concatenate([part.ravel() for part in rotating_field_and_jacobian(cfg, t, v)])
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(rotating_field, id="rotating_field"),
+    pytest.param(_rotating_pair, id="rotating_field_and_jacobian"),
+])
 def test_rotating_pair_is_zero_at_eps_zero_and_validates_its_input(call):
     assert not np.any(call(canonical_config(0.0), 1.3, _SEED))
     with pytest.raises(ValueError, match="non-finite"):

@@ -131,7 +131,7 @@ def test_newton_affine_residual_converges_in_one_step():
 
 def test_newton_quadratic_residual_finds_known_root():
     def residual(x):
-        return np.array([x[0] ** 2 - 4, x[1], x[2], x[3]])
+        return np.stack([x[..., 0] ** 2 - 4, x[..., 1], x[..., 2], x[..., 3]], axis=-1)
 
     report = newton_solve(residual, np.array([1.0, 1.0, 1.0, 1.0]), tol=1e-12)
     assert report.converged
@@ -222,7 +222,7 @@ def test_newton_converged_seed_takes_zero_iterations():
 
 def test_newton_singular_jacobian_raises():
     with pytest.raises(SingularMatrixError):
-        newton_solve(lambda x: np.array([x[0], x[0], x[2], x[3]]) - 1.0, np.zeros(4))
+        newton_solve(lambda x: x[..., [0, 0, 2, 3]] - 1.0, np.zeros(4))
 
 
 def test_newton_validates_inputs():
@@ -239,9 +239,17 @@ def test_fd_jacobian_of_identity_is_identity():
 
 def test_fd_jacobian_bilinear_term():
     jac = finite_difference_jacobian(
-        lambda x: np.array([x[0] * x[1], 0, 0, 0]), np.array([2.0, 3.0, 0.0, 0.0])
+        lambda x: (x[..., 0] * x[..., 1])[..., None] * np.array([1.0, 0, 0, 0]),
+        np.array([2.0, 3.0, 0.0, 0.0]),
     )
     assert np.max(np.abs(jac[0] - np.array([3.0, 2.0, 0.0, 0.0]))) < 1e-6
+
+
+def test_fd_jacobian_requires_a_stacked_residual():
+    # a residual that reads x[0] as the first coordinate returns the wrong
+    # shape on the stack of shifted points instead of a wrong Jacobian
+    with pytest.raises(ValueError, match=r"residual must return shape \(8, m\)"):
+        finite_difference_jacobian(lambda x: np.array([x[0] - 1.0, x[1], x[2], x[3]]), np.ones(4))
 
 
 def test_fd_jacobian_rejects_nonpositive_step():
@@ -253,7 +261,7 @@ def test_fd_jacobian_reproduces_linear_maps(rng):
     # central differences are exact for linear maps; a step well above
     # sqrt(eps) keeps subtraction cancellation below the 1e-10 bound
     mat = rng.standard_normal((4, 4))
-    jac = finite_difference_jacobian(lambda x: mat @ x, rng.standard_normal(4), step=1e-3)
+    jac = finite_difference_jacobian(lambda x: x @ mat.T, rng.standard_normal(4), step=1e-3)
     assert np.max(np.abs(jac - mat)) < 1e-10
 
 

@@ -57,7 +57,7 @@ def _return_map_newton(config, seed, tol):
     """
     t0 = period(config)
     field = lambda t, s: standard_form_field(config, s)
-    jac = lambda t, s: standard_form_jacobian(config, s)
+    pair = lambda t, s: (standard_form_field(config, s), standard_form_jacobian(config, s))
     integrations = []
 
     def residual(u):
@@ -66,7 +66,7 @@ def _return_map_newton(config, seed, tol):
 
     report = newton_solve(
         residual, seed,
-        jacobian=lambda u: integrate_with_variational(field, jac, u, t0)[1] - np.eye(4),
+        jacobian=lambda u: integrate_with_variational(pair, u, t0)[1] - np.eye(4),
         tol=tol,
     )
     return report, len(integrations)
@@ -126,7 +126,7 @@ def test_rotating_frame_maps_back_with_phi_of_t(rng):
     for T in (0.7, 2.3, 9.0):
         u = rng.uniform(-1, 1, 4)
         end, mono = integrate_with_variational(
-            lambda t, s: standard_form_field(cfg, s), lambda t, s: standard_form_jacobian(cfg, s), u, T)
+            lambda t, s: (standard_form_field(cfg, s), standard_form_jacobian(cfg, s)), u, T)
         assert np.max(np.abs(_return_map(cfg, u, T) - end)) < 1e-9
         got_end, got_mono = _return_map_with_monodromy(cfg, u, T)
         assert np.max(np.abs(got_end - end)) < 1e-9
@@ -149,7 +149,7 @@ def test_rotating_frame_failures_report_the_scaled_state(monkeypatch):
     scaled = integrate(lambda t, s: standard_form_field(cfg, s), zero, t_fail).states[-1]
     assert np.max(np.abs(err.value.last_state - scaled)) < 1e-9
     end, mono = integrate_with_variational(
-        lambda t, s: standard_form_field(cfg, s), lambda t, s: standard_form_jacobian(cfg, s),
+        lambda t, s: (standard_form_field(cfg, s), standard_form_jacobian(cfg, s)),
         zero, var_err.value.last_time,
     )
     assert np.max(np.abs(var_err.value.last_state - np.append(end, mono))) < 1e-9
@@ -222,8 +222,7 @@ def test_averaged_zeros_continue_into_equilibria_not_cycles():
         # it is an exact fixed point of the return map at every period
         T0 = period(cfg)
         end, mono = integrate_with_variational(
-            lambda t, s: standard_form_field(cfg, s),
-            lambda t, s: standard_form_jacobian(cfg, s),
+            lambda t, s: (standard_form_field(cfg, s), standard_form_jacobian(cfg, s)),
             u_eq, T0,
         )
         assert np.max(np.abs(end - u_eq)) < 1e-10
