@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chen import RegimeConfig, RegimeError, omega, split_standard_form
+from .chen import ChenParams, RegimeConfig, RegimeError, omega, split_standard_form
 from .linear_flow import flow, fundamental_matrix_inverse, period
 from .numerics import (
     NewtonReport,
@@ -68,25 +68,32 @@ class StabilityVerdict:
     note: str
 
 
+def _points(u) -> np.ndarray:
+    """u as a float array of one point (4,) or a stack (k, 4) of points."""
+    u = np.asarray(u, dtype=float)
+    if u.ndim not in (1, 2) or u.shape[-1] != 4:
+        raise ValueError(f"expected a point (4,) or a stack (k, 4) of points, got shape {u.shape}")
+    return u
+
+
 def bifurcation_function(config: RegimeConfig, u) -> np.ndarray:
     """Closed-form bifurcation function.
 
     u is one point (4,) or a stack (k, 4) of points; a stack gives the
-    (k, 4) stack of values, each row equal to the single call's bit for bit.
+    (k, 4) stack of the single points' values.
     """
+    u = _points(u)
     omega(config.params)  # raises RegimeError outside the elliptic regime
-    p = config.params
+    if u.ndim == 1:
+        return np.array(_closed_form(config.params, u.tolist()))
+    return np.array([_closed_form(config.params, row) for row in u.tolist()]).reshape(u.shape)
+
+
+def _closed_form(p: ChenParams, u: list[float]) -> list[float]:
+    """The four values at one point, on Python floats (the same IEEE results, cheaper)."""
     a, b, d, r = p.a, p.b, p.d, p.r
     ad = a + d
-    u = np.asarray(u, dtype=float)
-    if u.ndim == 1:  # Python floats: the same IEEE results, cheaper
-        x0, y0, z0, w0 = u.tolist()
-        xx, yy, ww = x0**2, y0**2, w0**2
-    else:
-        x0, y0, z0, w0 = np.moveaxis(u, -1, 0)
-        # ** squares a float by libm pow but an array by x * x, which differs
-        # from pow in the last bit for some x; float_power is pow
-        xx, yy, ww = np.float_power(x0, 2), np.float_power(y0, 2), np.float_power(w0, 2)
+    x0, y0, z0, w0 = u
     f1 = (
         r * w0 / ad
         + d * z0 * (ad * x0 - 3 * w0) / (2 * a * ad**2)
@@ -98,15 +105,13 @@ def bifurcation_function(config: RegimeConfig, u) -> np.ndarray:
         - (d * x0 + a * y0) * z0 / (2 * ad)
     )
     f3 = (
-        d**2 * (xx - 2 * b * z0) / (2 * ad**2)
+        d**2 * (x0**2 - 2 * b * z0) / (2 * ad**2)
         + a * (-2 * a * b * z0 - y0 * (2 * w0 + a * (y0 - 2 * x0))) / (2 * ad**2)
-        - (3 * ww + 2 * a * w0 * y0) * d / (2 * a * ad**2)
-        + a * d * (xx + 2 * x0 * y0 - yy - 4 * b * z0) / (2 * ad**2)
+        - (3 * w0**2 + 2 * a * w0 * y0) * d / (2 * a * ad**2)
+        + a * d * (x0**2 + 2 * x0 * y0 - y0**2 - 4 * b * z0) / (2 * ad**2)
     )
     f4 = w0 * (r - d * z0 / (a * ad))
-    if isinstance(f4, float):
-        return np.array([f1, f2, f3, f4])
-    return np.stack([f1, f2, f3, f4], axis=-1)
+    return [f1, f2, f3, f4]
 
 
 def bifurcation_function_quadrature(config: RegimeConfig, u, nodes: int = 64) -> np.ndarray:
@@ -122,7 +127,7 @@ def bifurcation_function_quadrature(config: RegimeConfig, u, nodes: int = 64) ->
     """
     if nodes < 8:
         raise ValueError(f"need at least 8 quadrature nodes, got {nodes}")
-    u = np.asarray(u, dtype=float)
+    u = _points(u)
     T = period(config)
 
     def integrand(times: np.ndarray) -> np.ndarray:
@@ -143,12 +148,12 @@ def quadrature_gap(config: RegimeConfig, points) -> float:
     Each row's max|f_closed - f_quad| is divided by 1 + max|u|^2, the size of
     the quadratic map's values there. Both routes take the whole stack at once.
     """
-    points = np.asarray(points, dtype=float)
+    points = _points(points).reshape(-1, 4)
     diff = np.max(np.abs(
         bifurcation_function(config, points) - bifurcation_function_quadrature(config, points)
     ), axis=1)
-    scale = 1 + np.float_power(np.max(np.abs(points), axis=1), 2)
-    return float(np.max(diff / scale, initial=0.0))
+    size = np.max(np.abs(points), axis=1)
+    return max([0.0, *(g / (1 + m**2) for g, m in zip(diff.tolist(), size.tolist()))])
 
 
 def averaged_zero_points(config: RegimeConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -120,20 +120,26 @@ def _rotating(config: RegimeConfig, t: float, v):
     return x, y, vz, vw, rows, (ks, dx + ws, cos + ks, dy)
 
 
-def rotating_field(config: RegimeConfig, t: float, v) -> np.ndarray:
-    """eps Phi(t)^{-1} N(Phi(t) v), N = (0, -xz, xy - bz, yz + rw); zero at eps = 0."""
-    x, y, z, w, _, (q01, q03, q11, q13) = _rotating(config, t, v)
+def _drift(config: RegimeConfig, x, y, z, w, q) -> np.ndarray:
+    """eps Phi(t)^{-1} N(u) at u = Phi(t) v = (x, y, z, w), with q = _rotating's rows of Phi(t)^{-1}."""
+    q01, q03, q11, q13 = q
     b, r, eps = config.params.b, config.params.r, config.epsilon
     n1, n2, n3 = -x * z, x * y - b * z, y * z + r * w
     return np.array([eps * (q01 * n1 + q03 * n3), eps * (q11 * n1 + q13 * n3), eps * n2, eps * n3])
 
 
+def rotating_field(config: RegimeConfig, t: float, v) -> np.ndarray:
+    """eps Phi(t)^{-1} N(Phi(t) v), N = (0, -xz, xy - bz, yz + rw); zero at eps = 0."""
+    x, y, z, w, _, q = _rotating(config, t, v)
+    return _drift(config, x, y, z, w, q)
+
+
 def rotating_field_and_jacobian(config: RegimeConfig, t: float, v) -> tuple[np.ndarray, np.ndarray]:
     """rotating_field and its state Jacobian eps Phi(t)^{-1} DN(Phi(t) v) Phi(t), from one _rotating call."""
-    x, y, z, w, (p00, p01, p03, p10, p11, p13), (q01, q03, q11, q13) = _rotating(config, t, v)
+    x, y, z, w, (p00, p01, p03, p10, p11, p13), q = _rotating(config, t, v)
+    field = _drift(config, x, y, z, w, q)
+    q01, q03, q11, q13 = q
     b, r, eps = config.params.b, config.params.r, config.epsilon
-    n1, n2, n3 = -x * z, x * y - b * z, y * z + r * w
-    field = np.array([eps * (q01 * n1 + q03 * n3), eps * (q11 * n1 + q13 * n3), eps * n2, eps * n3])
     # rows y and w of DN(u) Phi are (g0, g1, -x, g3) and (h0, h1, y, h3); row x is zero
     g0, g1, g3 = -z * p00, -z * p01, -z * p03
     h0, h1, h3 = z * p10, z * p11, z * p13 + r

@@ -71,6 +71,16 @@ def test_quadrature_rejects_few_nodes(canonical):
         bifurcation_function_quadrature(canonical, np.zeros(4), nodes=7)
 
 
+@pytest.mark.parametrize("shape", [(8,), (2, 2), (3,), (2, 4, 1), ()])
+@pytest.mark.parametrize("route", [bifurcation_function, bifurcation_function_quadrature],
+                         ids=["closed", "quadrature"])
+def test_both_routes_reject_a_misshapen_point(canonical, route, shape):
+    with pytest.raises(ValueError, match="expected a point"):
+        route(canonical, np.zeros(shape))
+    with pytest.raises(ValueError, match="expected a point"):
+        quadrature_gap(canonical, np.zeros(shape))
+
+
 def _quadrature_by_loop(cfg, u, nodes):
     """The quadrature as a per-node loop of scalar building-block calls with a running sum."""
     T = period(cfg)
@@ -94,7 +104,7 @@ def test_quadrature_is_bit_identical_to_a_per_node_loop(canonical, admissible_co
             assert batched.tobytes() == _quadrature_by_loop(cfg, u, nodes).tobytes()
 
 
-# the closed form squares x0 = -1.3275170599102342 one bit apart as x * x and as pow
+# x0 = -1.3275170599102342 squares one bit apart as x * x (numpy's array **2) and as pow
 _SQUARE_TRAP = np.array([-1.3275170599102342, 0.7, -0.4, 1.1])
 
 
