@@ -178,7 +178,11 @@ def averaged_zero_points(config: RegimeConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def jacobian_determinant(config: RegimeConfig) -> float:
-    """det Df at the nontrivial zeros, in closed form (same at both)."""
+    """det Df at the nontrivial zeros, in closed form (same at both).
+
+    Nonzero with the sign of b*r for admissible parameters: b(a+d)r < 0 gives
+    b, r != 0, and a(a+d) < 0 gives a^4 + a^3 d - d^2 = a^2 a(a+d) - d^2 < -d^2.
+    """
     p = config.params
     a, b, d, r = p.a, p.b, p.d, p.r
     return -b * (a**4 + a**3 * d - d**2) * r**3 / (2 * d**2)

@@ -94,9 +94,11 @@ def canonical_config(epsilon: float = 0.0) -> RegimeConfig:
 def _state(state) -> list[float]:
     """The four components of a finite 4-vector as Python floats.
 
-    Every field and Jacobian below, and linear_flow's rotating pair, validates
-    through here. Checking four floats with math.isfinite costs a fraction of
-    an array-wide isfinite; Python-float arithmetic gives the same IEEE results.
+    Every single-state field and Jacobian below, and linear_flow's rotating
+    pair, validates through here. split_standard_form does not: it takes
+    stacks too, and runs one array-wide check with the same messages.
+    Checking four floats with math.isfinite costs a fraction of an array-wide
+    isfinite; Python-float arithmetic gives the same IEEE results.
     """
     s = np.asarray(state, dtype=float)
     if s.shape != (4,):
@@ -213,23 +215,21 @@ def split_standard_form(config: RegimeConfig, state) -> tuple[np.ndarray, np.nda
     ``linear + epsilon * perturbation`` for the two arrays returned here.
     The linear part is independent of b, r and epsilon.
 
-    state is one state (4,) or a stack (n, 4) of states; a stack gives two
-    (n, 4) arrays whose rows equal the per-state calls bit for bit (the zero
-    entries are filled with 0.0, so their sign does not depend on the state).
+    state is one state (4,) or a stack (n, 4) of states, and the two arrays
+    have its shape. One body serves both, so each row of a stack equals the
+    call on that state bit for bit (the zero entries are filled with 0.0, so
+    their sign does not depend on the state).
     """
     a, b, d, r = config.params.a, config.params.b, config.params.d, config.params.r
     s = np.asarray(state, dtype=float)
-    if s.ndim != 2 or s.shape[1] != 4:
-        x, y, z, w = _state(s)
-        linear = np.array([a * (y - x) + w, d * x + a * y, 0.0, 0.0])
-        perturbation = np.array([0.0, -x * z, x * y - b * z, y * z + r * w])
-        return linear, perturbation
+    if s.ndim not in (1, 2) or s.shape[-1] != 4:
+        raise ValueError(f"state must have 4 components, got shape {s.shape}")
     if not np.isfinite(s).all():
         raise ValueError(f"state contains non-finite entries: {s!r}")
     x, y, z, w = s.T
-    zero = np.zeros(len(s))
-    linear = np.stack([a * (y - x) + w, d * x + a * y, zero, zero], axis=1)
-    perturbation = np.stack([zero, -x * z, x * y - b * z, y * z + r * w], axis=1)
+    zero = np.zeros(s.shape[:-1])
+    linear = np.stack([a * (y - x) + w, d * x + a * y, zero, zero], axis=-1)
+    perturbation = np.stack([zero, -x * z, x * y - b * z, y * z + r * w], axis=-1)
     return linear, perturbation
 
 

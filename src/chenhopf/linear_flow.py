@@ -27,21 +27,15 @@ import numpy as np
 from .chen import RegimeConfig, _state, omega
 
 
-def _cos_sin(om: float, t):
-    """cos and sin of om * t: math for a scalar t, numpy elementwise for an array of times."""
-    if isinstance(t, np.ndarray):
-        phase = om * t
-        return np.cos(phase), np.sin(phase)
-    return math.cos(om * t), math.sin(om * t)
-
-
 def flow(config: RegimeConfig, u, t) -> np.ndarray:
     """Closed-form solution through u after time t: (x, y) rotate, z and w stay.
 
     u is one state (4,) or a stack (..., 4) of states, and t a time or an
     array of times. The two broadcast: the result has shape
     broadcast(u.shape[:-1], t.shape) + (4,), and each entry takes the
-    scalar call's operations in the same order.
+    scalar call's operations in the same order. cos and sin are numpy's for
+    a scalar t and an array alike, so a batched entry equals its scalar call
+    bit for bit.
     """
     p = config.params
     om = omega(p)
@@ -52,7 +46,7 @@ def flow(config: RegimeConfig, u, t) -> np.ndarray:
         x0, y0, z0, w0 = u[..., 0], u[..., 1], u[..., 2], u[..., 3]
     a, d = p.a, p.d
     ad = a + d
-    cos, sin = _cos_sin(om, t)
+    cos, sin = np.cos(om * t), np.sin(om * t)
     x = (w0 + (ad * x0 - w0) * cos - (om / a) * (w0 + a * (y0 - x0)) * sin) / ad
     y = ((d * w0 + a * ad * y0) * cos - d * w0 - om * (d * x0 + a * y0) * sin) / (a * ad)
     if isinstance(x, float):
@@ -71,23 +65,22 @@ def fundamental_matrix_inverse(config: RegimeConfig, t) -> np.ndarray:
     """Explicit inverse of the fundamental matrix.
 
     Hand-written entries in cos/sin; cross-checked in the test-suite against
-    the numerically inverted fundamental_matrix. For an array of times the
-    result has shape t.shape + (4, 4), each matrix equal to the scalar call's.
+    the numerically inverted fundamental_matrix. t is a time or an array of
+    times, and the result has shape t.shape + (4, 4); one assembly serves
+    both, so each matrix of a batch equals the scalar call's bit for bit.
     """
     p = config.params
     om = omega(p)
     a, d = p.a, p.d
     ad = a + d
-    cos, sin = _cos_sin(om, t)
+    cos, sin = np.cos(om * t), np.sin(om * t)
     rows = [
         [cos + (a / om) * sin, -(a / om) * sin, 0.0, (1 - cos + (om / a) * sin) / ad],
         [-(d / om) * sin, cos - (a / om) * sin, 0.0, d * (cos - 1) / (a * ad)],
         [0.0, 0.0, 1.0, 0.0],
         [0.0, 0.0, 0.0, 1.0],
     ]
-    if isinstance(cos, float):
-        return np.array(rows)
-    out = np.empty(cos.shape + (4, 4))
+    out = np.empty(np.shape(cos) + (4, 4))
     for i, row in enumerate(rows):
         for j, entry in enumerate(row):
             out[..., i, j] = entry

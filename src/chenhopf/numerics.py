@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -55,10 +55,6 @@ class SingularMatrixError(RuntimeError):
 
 class EigenSolveError(RuntimeError):
     """An eigenvalue failed its backward-error certificate."""
-
-    def __init__(self, message: str, estimates: Sequence[complex]):
-        super().__init__(message)
-        self.estimates = tuple(complex(v) for v in estimates)
 
 
 def _require_finite(arr: np.ndarray, what: str) -> None:
@@ -257,7 +253,8 @@ def eig4(matrix: np.ndarray) -> QuarticSpectrum:
 
     Each value lambda must satisfy sigma_min(M - lambda*I) <= EIG_BACKWARD_RTOL
     * |M|_2, i.e. be exact for a nearby matrix; otherwise EigenSolveError
-    carries the values. The bound is relative, so it holds at any matrix norm.
+    names the first that fails. The bound is relative, so it holds at any
+    matrix norm.
     """
     m = np.asarray(matrix, dtype=float)
     if m.shape != (4, 4):
@@ -268,8 +265,5 @@ def eig4(matrix: np.ndarray) -> QuarticSpectrum:
     backward = np.linalg.svd(m - values[:, None, None] * np.eye(4), compute_uv=False)[:, -1]
     for lam, res in zip(values, backward):
         if not res <= bound:
-            raise EigenSolveError(
-                f"eigenvalue {lam!r} has backward error {res:.3e} > {bound:.3e}",
-                estimates=values,
-            )
+            raise EigenSolveError(f"eigenvalue {lam!r} has backward error {res:.3e} > {bound:.3e}")
     return QuarticSpectrum.from_iterable(values)

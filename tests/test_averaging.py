@@ -196,6 +196,17 @@ def test_zeros_simplicity_on_admissible_draws(rng):
             assert zero.simple
 
 
+def test_zeros_are_simple_throughout_the_regime(rng):
+    # a^4 + a^3 d - d^2 = a^2 * a(a+d) - d^2 < -d^2 when a(a+d) < 0, and
+    # b(a+d)r < 0 forces b, r != 0: det Df never vanishes and has the sign of b*r
+    for _ in range(1000):
+        cfg = random_admissible_config(rng)
+        a, b, d, r = cfg.params.a, cfg.params.b, cfg.params.d, cfg.params.r
+        assert a**4 + a**3 * d - d**2 < -d**2 < 0
+        det = jacobian_determinant(cfg)
+        assert det != 0.0 and np.sign(det) == np.sign(b * r)
+
+
 # ------------------------------------------------------------ newton refinement
 
 def test_refine_recovers_zero_from_perturbed_seed(canonical, rng):

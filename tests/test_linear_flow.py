@@ -190,6 +190,26 @@ def test_batched_calls_equal_the_stack_of_scalar_calls(admissible_configs, rng):
         assert fundamental_matrix(cfg, times[0]).tobytes() == basis_flows.tobytes()
 
 
+def test_one_shape_path_for_every_kind_of_scalar(admissible_configs, rng):
+    # a time as a Python float, an np.float64 and a 0-d array takes one path
+    for cfg in [canonical_config(0.01)] + admissible_configs:
+        t = float(rng.uniform(-20, 20))
+        states = rng.uniform(-2, 2, (3, 4))
+        for u in (states[0], states):
+            ref = flow(cfg, u, t)
+            assert ref.shape == u.shape
+            for same in (np.float64(t), np.array(t)):
+                assert flow(cfg, u, same).tobytes() == ref.tobytes()
+        ref = fundamental_matrix_inverse(cfg, t)
+        assert ref.shape == (4, 4)
+        for same in (np.float64(t), np.array(t)):
+            assert fundamental_matrix_inverse(cfg, same).tobytes() == ref.tobytes()
+        linear, perturbation = split_standard_form(cfg, states[0])
+        rows = split_standard_form(cfg, states[:1])
+        assert linear.shape == perturbation.shape == (4,)
+        assert linear.tobytes() == rows[0][0].tobytes() and perturbation.tobytes() == rows[1][0].tobytes()
+
+
 # ------------------------------------------------------------ period data
 
 def test_period_values():

@@ -165,7 +165,7 @@ def test_find_orbits_refuses_inadmissible_parameters():
 
 def test_find_orbits_labels_uncertified_multipliers(monkeypatch):
     def refuse(matrix):
-        raise EigenSolveError("backward error too large", [])
+        raise EigenSolveError("backward error too large")
 
     monkeypatch.setattr("chenhopf.orbits.eig4", refuse)
     with pytest.raises(ShootingError, match="branch 1 failed: multipliers not certified"):
