@@ -16,13 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from chenhopf.averaging import (
-    averaged_spectrum,
-    averaged_zeros,
-    jacobian_determinant,
-    quadrature_gap,
-    stability_verdict,
-)
+from chenhopf.averaging import averaged_zeros, quadrature_gap, stability_verdict
 from chenhopf.chen import canonical_config, check_zero_hopf_conditions
 from chenhopf.orbits import branch_study
 
@@ -43,10 +37,9 @@ def main() -> int:
 
     print("== averaged zeros ==")
     first, second = averaged_zeros(cfg)
-    spec = averaged_spectrum(cfg)
     print(f"  p1 = {first.point}, p2 = {second.point}")
-    print(f"  det Df = {jacobian_determinant(cfg)}")
-    print(f"  spectrum = {spec.values}")
+    print(f"  det Df = {first.det_jacobian}")
+    print(f"  spectrum = {first.spectrum.values}")
     verdict = stability_verdict(cfg)
     print(f"  stability clause applicable: {verdict.theorem_applicable} ({verdict.note})")
 
@@ -64,8 +57,8 @@ def main() -> int:
 
     payload = {
         "zeros": [list(first.point), list(second.point)],
-        "det": jacobian_determinant(cfg),
-        "spectrum": [[v.real, v.imag] for v in spec.values],
+        "det": first.det_jacobian,
+        "spectrum": [[v.real, v.imag] for v in first.spectrum.values],
         "oracle_worst_scaled_discrepancy": worst,
         "branch_study": [dataclasses.asdict(row) for row in study.rows],
         "slope_by_branch": study.slope_by_branch,

@@ -12,6 +12,10 @@ inverse fundamental matrix, the closed-form flow, and the perturbation. The
 test-suite treats their agreement as the module's central correctness
 evidence; neither path reuses the other's algebra.
 
+The hypotheses alone prove the closed-form zeros simple and the stability
+clause inapplicable (averaged_zeros, stability_verdict); SIMPLICITY_RTOL and
+the finite-difference diagnostics serve refine_zero, the numeric route.
+
 Sign convention note: the z-column of the perturbation is x*y - b*z, so the
 average of the third component carries -b*z0 (the x, y flow never sees z0).
 Consequently the pair of nontrivial zeros is real exactly when
@@ -39,10 +43,11 @@ from .numerics import (
     periodic_trapezoid,
 )
 
-#: a zero is "simple" when |det Df| exceeds this times max(1, |Df|_inf^4)
+#: refine_zero calls a located zero "simple" when |det Df| of its
+#: finite-difference Jacobian exceeds this times max(1, |Df|_inf^4)
 SIMPLICITY_RTOL = 1e-10
 
-#: finite-difference step for diagnostics of the averaged map; the map is
+#: finite-difference step for numeric diagnostics of the averaged map; the map is
 #: quadratic, so central differences are exact and a large step only
 #: suppresses cancellation noise
 _DIAG_FD_STEP = 1e-3
@@ -158,6 +163,7 @@ def quadrature_gap(config: RegimeConfig, points) -> float:
 
 def averaged_zero_points(config: RegimeConfig) -> tuple[np.ndarray, np.ndarray]:
     """Both nontrivial zeros in closed form, branch 1 first; no diagnostics."""
+    omega(config.params)  # raises RegimeError outside the elliptic regime
     p = config.params
     a, b, d, r = p.a, p.b, p.d, p.r
     gate = b * (a + d) * r
@@ -183,6 +189,7 @@ def jacobian_determinant(config: RegimeConfig) -> float:
     Nonzero with the sign of b*r for admissible parameters: b(a+d)r < 0 gives
     b, r != 0, and a(a+d) < 0 gives a^4 + a^3 d - d^2 = a^2 a(a+d) - d^2 < -d^2.
     """
+    omega(config.params)  # raises RegimeError outside the elliptic regime
     p = config.params
     a, b, d, r = p.a, p.b, p.d, p.r
     return -b * (a**4 + a**3 * d - d**2) * r**3 / (2 * d**2)
@@ -224,32 +231,21 @@ def jacobian_gaps(config: RegimeConfig) -> tuple[float, float]:
     return worst_det, worst_spec
 
 
-def _diagnose(point: np.ndarray, residual: float, jac: np.ndarray,
-              det: float, spectrum: QuarticSpectrum) -> AveragedZero:
-    """Attach diagnostics; jac is the Jacobian of the route that located point."""
-    scale = max(1.0, float(np.max(np.sum(np.abs(jac), axis=1))) ** 4)
-    return AveragedZero(
-        point=point,
-        residual=residual,
-        det_jacobian=det,
-        spectrum=spectrum,
-        simple=abs(det) > SIMPLICITY_RTOL * scale,
-        all_negative_real_parts=all(re < 0 for re in spectrum.real_parts()),
-    )
-
-
 def averaged_zeros(config: RegimeConfig) -> tuple[AveragedZero, AveragedZero]:
-    """Both nontrivial zeros with closed-form diagnostics attached."""
-    det = jacobian_determinant(config)
-    spec = averaged_spectrum(config)
-    out = []
-    for point in averaged_zero_points(config):
-        residual = float(np.max(np.abs(bifurcation_function(config, point))))
-        jac = finite_difference_jacobian(
-            lambda v: bifurcation_function(config, v), point, step=_DIAG_FD_STEP
-        )
-        out.append(_diagnose(point, residual, jac, det, spec))
-    return out[0], out[1]
+    """Both nontrivial zeros with their closed-form Jacobian data.
+
+    The hypotheses decide both flags, so no Jacobian is evaluated. simple:
+    averaged_zero_points returns zeros only where a(a+d) < 0 and b(a+d)r < 0,
+    and there det Df never vanishes (jacobian_determinant), even where its
+    rounded value underflows. all_negative_real_parts: never (stability_verdict).
+    """
+    det, spec = jacobian_determinant(config), averaged_spectrum(config)
+    first, second = (
+        AveragedZero(point, float(np.max(np.abs(bifurcation_function(config, point)))),
+                     det, spec, simple=True, all_negative_real_parts=False)
+        for point in averaged_zero_points(config)
+    )
+    return first, second
 
 
 def refine_zero(
@@ -273,7 +269,11 @@ def refine_zero(
     report = newton_solve(residual, np.asarray(seed, dtype=float), tol=tol)
     jac = finite_difference_jacobian(residual, report.root, step=_DIAG_FD_STEP)
     det = float(determinant(jac))
-    zero = _diagnose(report.root, report.residual_norm, jac, det, eig4(jac))
+    spectrum = eig4(jac)
+    scale = max(1.0, float(np.max(np.sum(np.abs(jac), axis=1))) ** 4)
+    zero = AveragedZero(report.root, report.residual_norm, det, spectrum,
+                        simple=abs(det) > SIMPLICITY_RTOL * scale,
+                        all_negative_real_parts=all(v.real < 0 for v in spectrum.values))
     return zero, report
 
 
@@ -281,17 +281,14 @@ def stability_verdict(config: RegimeConfig) -> StabilityVerdict:
     """Can asymptotic stability of the bifurcating orbits be concluded?
 
     First-order averaging concludes stability only when every eigenvalue of
-    Df at the zero has negative real part. Within the admissible regime that
-    never happens, and the verdict names a violating eigenvalue.
+    Df at the zero has negative real part, which no parameters give. The
+    conjugate pair's real part r/2 needs r < 0. The other pair
+    (-b +/- sqrt(b(b - 8r)))/2 is negative only if real with sum -b < 0 and
+    product 2br > 0, so r > 0, or complex with -b/2 < 0, but b > 0 and r < 0
+    make b(b - 8r) > 0. The note names the eigenvalue with the largest real part;
+    only where b(b - 8r) underflows can the rounded spectrum lose that sign.
     """
-    spec = averaged_spectrum(config)
-    offenders = [v for v in spec.values if v.real >= 0]
-    if not offenders:
-        return StabilityVerdict(
-            theorem_applicable=True,
-            note="all averaged-Jacobian eigenvalues have negative real part",
-        )
-    worst = max(offenders, key=lambda v: v.real)
+    worst = max(averaged_spectrum(config).values, key=lambda v: v.real)
     return StabilityVerdict(
         theorem_applicable=False,
         note=(

@@ -26,11 +26,9 @@ import numpy as np
 
 from . import __version__
 from .averaging import (
-    averaged_spectrum,
     averaged_zeros,
     bifurcation_function,
     bifurcation_function_quadrature,
-    jacobian_determinant,
     jacobian_gaps,
     quadrature_gap,
     refine_zero,
@@ -95,9 +93,8 @@ def _params(args) -> ChenParams:
     return ChenParams(a=args.a, b=args.b, c=c, d=args.d, r=args.r)
 
 
-def _config(args, epsilon: float | None = None) -> RegimeConfig:
-    eps = getattr(args, "epsilon", 0.0) if epsilon is None else epsilon
-    return RegimeConfig(_params(args), eps)
+def _config(args) -> RegimeConfig:
+    return RegimeConfig(_params(args), getattr(args, "epsilon", 0.0))
 
 
 def _json(value):
@@ -213,7 +210,7 @@ def _parse_point(text: str) -> np.ndarray:
 
 
 def _cmd_favg(args) -> int:
-    config = _config(args, epsilon=0.0)
+    config = _config(args)
     u = _parse_point(args.point)
     result: dict = {"manifest": _manifest(args, "favg")}
     lines = []
@@ -235,7 +232,7 @@ def _cmd_favg(args) -> int:
 
 
 def _cmd_zeros(args) -> int:
-    config = _config(args, epsilon=0.0)
+    config = _config(args)
     first, second = averaged_zeros(config)
     verdict = stability_verdict(config)
     rng = np.random.default_rng(args.seed)
@@ -254,16 +251,16 @@ def _cmd_zeros(args) -> int:
              "reason": rep.reason}
             for z, rep in refined
         ],
-        "det_closed_form": jacobian_determinant(config),
-        "spectrum_closed_form": _json(averaged_spectrum(config)),
+        "det_closed_form": first.det_jacobian,
+        "spectrum_closed_form": _json(first.spectrum),
         "verdict": _json(verdict),
     }
     lines = []
     for tag, zero in (("first", first), ("second", second)):
         lines.append(f"{tag} zero : {np.array2string(zero.point, precision=12)} "
                      f"(residual {zero.residual:.2e}, simple={zero.simple})")
-    lines.append(f"det Df     : {jacobian_determinant(config):.12g}")
-    lines.append("spectrum   : " + ", ".join(f"{v:.6g}" for v in averaged_spectrum(config).values))
+    lines.append(f"det Df     : {first.det_jacobian:.12g}")
+    lines.append("spectrum   : " + ", ".join(f"{v:.6g}" for v in first.spectrum.values))
     lines.append(f"stability  : applicable={verdict.theorem_applicable} ({verdict.note})")
     _emit(args, payload, "\n".join(lines))
     return EXIT_OK
@@ -304,7 +301,7 @@ def _parse_epsilons(text: str) -> list[float]:
 
 
 def _cmd_sweep(args) -> int:
-    config = _config(args, epsilon=0.0)
+    config = _config(args)
     study = branch_study(config, _parse_epsilons(args.epsilons))
     text = _csv([f.name for f in dataclasses.fields(BranchRow)],
                 [dataclasses.astuple(row) for row in study.rows])

@@ -89,9 +89,6 @@ class QuarticSpectrum:
             best = min(best, worst)
         return float(best)
 
-    def real_parts(self) -> tuple[float, float, float, float]:
-        return tuple(v.real for v in self.values)
-
 
 @dataclass(frozen=True)
 class NewtonReport:

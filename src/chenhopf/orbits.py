@@ -240,8 +240,7 @@ def _branch_seed(config: RegimeConfig, branch: int) -> tuple[np.ndarray, float]:
     """The closed-form averaged zero of branch 1 or 2, and the period T0."""
     if branch not in (1, 2):
         raise ValueError(f"branch must be 1 or 2, got {branch}")
-    t0 = period(config)  # the elliptic-regime refusal comes before "zeros not real"
-    return averaged_zero_points(config)[branch - 1], t0
+    return averaged_zero_points(config)[branch - 1], period(config)
 
 
 def _both_branches(solve, config: RegimeConfig) -> tuple[PeriodicOrbit, PeriodicOrbit]:
@@ -335,7 +334,7 @@ def branch_study(config: RegimeConfig, epsilons) -> BranchStudy:
         raise ValueError(f"epsilons must be strictly ascending, got {eps_list}")
     rows: list[BranchRow] = []
     slopes: dict[int, float | None] = {}
-    spectrum = averaged_spectrum(config)  # the elliptic-regime refusal comes before "zeros not real"
+    spectrum = averaged_spectrum(config)
     for branch, zero in zip((1, 2), averaged_zero_points(config)):
         for eps in eps_list:
             cfg = config.with_epsilon(eps)

@@ -194,6 +194,23 @@ def test_zeros_simplicity_on_admissible_draws(rng):
         assert abs(det) > 1e-10
         for zero in averaged_zeros(cfg):
             assert zero.simple
+    # near-degenerate but admissible: det = -6.25e-10 is small, and at r = 1e-110
+    # r^3 underflows so det rounds to zero; the hypotheses still make them simple
+    for zero in averaged_zeros(RegimeConfig.make(a=-1.0, b=-1e-9, d=2.0, r=1.0)):
+        assert zero.simple
+        assert abs(zero.det_jacobian - (-6.25e-10)) <= 1e-12 * 6.25e-10
+    for zero in averaged_zeros(RegimeConfig.make(a=-1.0, b=-1.0, d=2.0, r=1e-110)):
+        assert zero.simple and zero.det_jacobian == 0.0
+
+
+def test_zeros_take_no_finite_difference_jacobian(canonical, monkeypatch):
+    def numeric_jacobian_used(*args, **kwargs):
+        raise AssertionError("averaged_zeros called finite_difference_jacobian")
+
+    monkeypatch.setattr(averaging, "finite_difference_jacobian", numeric_jacobian_used)
+    first, second = averaged_zeros(canonical)
+    assert first.simple and second.simple
+    assert first.det_jacobian == second.det_jacobian == jacobian_determinant(canonical)
 
 
 def test_zeros_are_simple_throughout_the_regime(rng):
@@ -315,6 +332,19 @@ def test_verdict_canonical_names_positive_eigenvalue(canonical):
 
 
 def test_verdict_always_inapplicable_on_admissible_draws(rng):
-    for _ in range(20):
+    # each draw, and its elliptic variants with b(a+d)r >= 0: -b, b = 0 and r = 0
+    for _ in range(1000):
         cfg = random_admissible_config(rng)
-        assert not stability_verdict(cfg).theorem_applicable
+        a, b, d, r = cfg.params.a, cfg.params.b, cfg.params.d, cfg.params.r
+        for c in (cfg, RegimeConfig.make(a=a, b=-b, d=d, r=r),
+                  RegimeConfig.make(a=a, b=0.0, d=d, r=r), RegimeConfig.make(a=a, b=b, d=d, r=0.0)):
+            assert not stability_verdict(c).theorem_applicable
+            assert any(v.real >= 0 for v in averaged_spectrum(c).values)
+
+
+def test_verdict_follows_the_proof_where_the_rounded_spectrum_underflows():
+    # b(b - 8r) = 9e-400 underflows to 0, so every rounded eigenvalue has real
+    # part -5e-201; the exact real pair is 1e-200 and -2e-200
+    cfg = RegimeConfig.make(a=-1.0, b=1e-200, d=2.0, r=-1e-200)
+    assert all(v.real < 0 for v in averaged_spectrum(cfg).values)
+    assert not stability_verdict(cfg).theorem_applicable

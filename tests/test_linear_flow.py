@@ -14,10 +14,13 @@ from chenhopf.chen import (
 )
 from chenhopf.averaging import (
     averaged_spectrum,
+    averaged_zero_points,
     averaged_zeros,
     bifurcation_function,
     bifurcation_function_quadrature,
+    jacobian_determinant,
     refine_zero,
+    stability_verdict,
 )
 from chenhopf.linear_flow import (
     flow,
@@ -119,6 +122,9 @@ _REGIME_CALLS = [
     pytest.param(lambda cfg: refine_zero(cfg, _SEED), id="refine_zero_closed"),
     pytest.param(lambda cfg: refine_zero(cfg, _SEED, use_quadrature=True),
                  id="refine_zero_quadrature"),
+    pytest.param(averaged_zero_points, id="averaged_zero_points"),
+    pytest.param(jacobian_determinant, id="jacobian_determinant"),
+    pytest.param(stability_verdict, id="stability_verdict"),
 ]
 
 
