@@ -14,7 +14,7 @@ evidence; neither path reuses the other's algebra.
 
 The hypotheses alone prove the closed-form zeros simple and the stability
 clause inapplicable (averaged_zeros, stability_verdict); SIMPLICITY_RTOL and
-the finite-difference diagnostics serve refine_zero, the numeric route.
+the finite-difference diagnostics serve refine_zero, which jacobian_gaps reads.
 
 Sign convention note: the z-column of the perturbation is x*y - b*z, so the
 average of the third component carries -b*z0 (the x, y flow never sees z0).
@@ -84,14 +84,21 @@ def _points(u) -> np.ndarray:
 def bifurcation_function(config: RegimeConfig, u) -> np.ndarray:
     """Closed-form bifurcation function.
 
-    u is one point (4,) or a stack (k, 4) of points; a stack gives the
-    (k, 4) stack of the single points' values.
+    u is one point (4,) or a stack (k, 4) of points, one row loop serves
+    both, and the result has u's shape. An overflowing row is a ValueError.
     """
     u = _points(u)
     omega(config.params)  # raises RegimeError outside the elliptic regime
-    if u.ndim == 1:
-        return np.array(_closed_form(config.params, u.tolist()))
-    return np.array([_closed_form(config.params, row) for row in u.tolist()]).reshape(u.shape)
+    values = []
+    for i, row in enumerate(u.reshape(-1, 4).tolist()):
+        try:
+            f = _closed_form(config.params, row)
+        except OverflowError:  # from x0**2 or w0**2; other overflows give inf
+            f = [math.inf]
+        if not all(map(math.isfinite, f)):
+            raise ValueError(f"closed form is not finite at row {i}, point {row!r}")
+        values.append(f)
+    return np.array(values).reshape(u.shape)
 
 
 def _closed_form(p: ChenParams, u: list[float]) -> list[float]:
@@ -128,7 +135,8 @@ def bifurcation_function_quadrature(config: RegimeConfig, u, nodes: int = 64) ->
     nodes >= 8 is exact to roundoff. u is one point (4,) or a stack (k, 4)
     of points, and the result has u's shape. All nodes of all points go
     through each building block in one batched call, and each row equals a
-    per-node loop over their scalar calls bit for bit.
+    per-node loop over their scalar calls bit for bit. An overflow is a
+    non-finite sample, which periodic_trapezoid reports as a ValueError.
     """
     if nodes < 8:
         raise ValueError(f"need at least 8 quadrature nodes, got {nodes}")
@@ -136,11 +144,12 @@ def bifurcation_function_quadrature(config: RegimeConfig, u, nodes: int = 64) ->
     T = period(config)
 
     def integrand(times: np.ndarray) -> np.ndarray:
-        states = flow(config, u.reshape(-1, 1, 4), times)  # (k, nodes, 4)
-        k = states.shape[0]
-        _, perturbation = split_standard_form(config, states.reshape(-1, 4))
-        inverse = np.tile(fundamental_matrix_inverse(config, times), (k, 1, 1))
-        samples = (inverse @ perturbation[:, :, None])[:, :, 0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            states = flow(config, u.reshape(-1, 1, 4), times)  # (k, nodes, 4)
+            k = states.shape[0]
+            _, perturbation = split_standard_form(config, states.reshape(-1, 4))
+            inverse = np.tile(fundamental_matrix_inverse(config, times), (k, 1, 1))
+            samples = (inverse @ perturbation[:, :, None])[:, :, 0]
         # node-major rows, so periodic_trapezoid adds each point's nodes in order
         return samples.reshape(k, nodes, 4).transpose(1, 0, 2).reshape(nodes, 4 * k)
 
@@ -214,21 +223,16 @@ def averaged_spectrum(config: RegimeConfig) -> QuarticSpectrum:
 
 
 def jacobian_gaps(config: RegimeConfig) -> tuple[float, float]:
-    """Closed-form Jacobian data against central differences at both zeros.
+    """Closed-form Jacobian data against refine_zero's at both zeros.
 
     Returns the worst relative gap of jacobian_determinant and the worst
-    match distance of averaged_spectrum, each against the finite-difference
-    Jacobian at step _DIAG_FD_STEP.
+    match distance of averaged_spectrum against the finite-difference data
+    of refine_zero at each closed-form zero, where its Newton takes no step.
     """
-    det_closed = jacobian_determinant(config)
-    spec_closed = averaged_spectrum(config)
-    worst_det, worst_spec = 0.0, 0.0
-    for point in averaged_zero_points(config):
-        jac = finite_difference_jacobian(
-            lambda v: bifurcation_function(config, v), point, step=_DIAG_FD_STEP)
-        worst_det = max(worst_det, abs(float(determinant(jac)) - det_closed) / abs(det_closed))
-        worst_spec = max(worst_spec, spec_closed.match_distance(eig4(jac)))
-    return worst_det, worst_spec
+    det_closed, spec_closed = jacobian_determinant(config), averaged_spectrum(config)
+    zeros = [refine_zero(config, point)[0] for point in averaged_zero_points(config)]
+    return (max(abs(z.det_jacobian - det_closed) / abs(det_closed) for z in zeros),
+            max(spec_closed.match_distance(z.spectrum) for z in zeros))
 
 
 def averaged_zeros(config: RegimeConfig) -> tuple[AveragedZero, AveragedZero]:

@@ -31,27 +31,20 @@ def flow(config: RegimeConfig, u, t) -> np.ndarray:
     """Closed-form solution through u after time t: (x, y) rotate, z and w stay.
 
     u is one state (4,) or a stack (..., 4) of states, and t a time or an
-    array of times. The two broadcast: the result has shape
-    broadcast(u.shape[:-1], t.shape) + (4,), and each entry takes the
-    scalar call's operations in the same order. cos and sin are numpy's for
-    a scalar t and an array alike, so a batched entry equals its scalar call
-    bit for bit.
+    array of times. The two broadcast to the result's shape
+    broadcast(u.shape[:-1], t.shape) + (4,). One body serves every shape,
+    so each entry equals its single-state call bit for bit.
     """
     p = config.params
     om = omega(p)
     u = np.asarray(u, dtype=float)
-    if u.ndim == 1:  # Python floats: the same IEEE results, cheaper
-        x0, y0, z0, w0 = u.tolist()
-    else:
-        x0, y0, z0, w0 = u[..., 0], u[..., 1], u[..., 2], u[..., 3]
+    x0, y0, z0, w0 = u[..., 0], u[..., 1], u[..., 2], u[..., 3]
     a, d = p.a, p.d
     ad = a + d
     cos, sin = np.cos(om * t), np.sin(om * t)
     x = (w0 + (ad * x0 - w0) * cos - (om / a) * (w0 + a * (y0 - x0)) * sin) / ad
     y = ((d * w0 + a * ad * y0) * cos - d * w0 - om * (d * x0 + a * y0) * sin) / (a * ad)
-    if isinstance(x, float):
-        return np.array([x, y, z0, w0])
-    out = np.empty(x.shape + (4,))
+    out = np.empty(np.shape(x) + (4,))
     out[..., 0], out[..., 1], out[..., 2], out[..., 3] = x, y, z0, w0
     return out
 

@@ -205,8 +205,8 @@ def newton_solve(
     Jacobian is finite_difference_jacobian's, so residual must also map a
     (k, n) stack of points to the (k, m) stack of their values.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     jac = jacobian if jacobian is not None else (
         lambda v: finite_difference_jacobian(residual, v)
     )

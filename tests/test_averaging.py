@@ -81,6 +81,15 @@ def test_both_routes_reject_a_misshapen_point(canonical, route, shape):
         quadrature_gap(canonical, np.zeros(shape))
 
 
+@pytest.mark.parametrize("route", [bifurcation_function, bifurcation_function_quadrature],
+                         ids=["closed", "quadrature"])
+def test_both_routes_reject_an_overflowing_point(canonical, route):
+    # finite coordinates whose values overflow: a ValueError, with no RuntimeWarning on the way
+    for point in ([1e200, 1, 1, 1], [1, 1, 1e200, 1e200]):
+        with pytest.raises(ValueError, match="finite"):
+            route(canonical, np.array(point, dtype=float))
+
+
 def _quadrature_by_loop(cfg, u, nodes):
     """The quadrature as a per-node loop of scalar building-block calls with a running sum."""
     T = period(cfg)

@@ -97,7 +97,8 @@ def test_favg_bad_point_exits_3(capsys):
 
 
 @pytest.mark.parametrize("method", ["closed", "quadrature", "both"])
-@pytest.mark.parametrize("point", ["nan,0,0,0", "0,0,inf,0", "0,-inf,0,0"])
+@pytest.mark.parametrize("point", ["nan,0,0,0", "0,0,inf,0", "0,-inf,0,0",
+                                   "1e200,1,1,1", "1,1,1e200,1e200"])
 def test_favg_nonfinite_point_exits_3(capsys, point, method):
     code, out, err = run(capsys, "favg", "--point", point, "--method", method, "--json")
     assert code == 3
@@ -136,8 +137,9 @@ def test_zeros_canonical_payload(capsys):
                        -np.asarray(second["point"])[[0, 1, 3]], atol=1e-12)
 
 
-def test_zeros_nan_tol_exits_3(capsys):
-    code, out, err = run(capsys, "zeros", "--tol", "nan")
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_zeros_nan_tol_exits_3(capsys, tol):
+    code, out, err = run(capsys, "zeros", "--tol", tol)
     assert code == 3
     assert out == ""
     assert "tol" in err

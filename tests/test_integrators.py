@@ -220,6 +220,7 @@ _NAN, _INF = float("nan"), float("inf")
     pytest.param(lambda: finite_difference_jacobian(_never_called, np.zeros(4), step=_NAN),
                  id="fd-step-nan"),
     pytest.param(lambda: newton_solve(_never_called, np.zeros(4), tol=_NAN), id="newton-tol-nan"),
+    pytest.param(lambda: newton_solve(_never_called, np.zeros(4), tol=_INF), id="newton-tol-inf"),
     pytest.param(lambda: shoot(canonical_config(0.01), np.ones(4), _NAN), id="shoot-period-nan"),
     pytest.param(lambda: branch_study(canonical_config(), [0.01, _NAN]),
                  id="sweep-epsilon-nan"),

@@ -214,6 +214,10 @@ def test_one_shape_path_for_every_kind_of_scalar(admissible_configs, rng):
         rows = split_standard_form(cfg, states[:1])
         assert linear.shape == perturbation.shape == (4,)
         assert linear.tobytes() == rows[0][0].tobytes() and perturbation.tobytes() == rows[1][0].tobytes()
+        # a single state or point runs the stacked body: it equals its one-row stack bit for bit
+        assert flow(cfg, states[0], t).tobytes() == flow(cfg, states[:1], t)[0].tobytes()
+        single, stacked = bifurcation_function(cfg, states[0]), bifurcation_function(cfg, states[:1])
+        assert single.tobytes() == stacked[0].tobytes()
 
 
 # ------------------------------------------------------------ period data
