@@ -5,12 +5,13 @@ origin spectra, averaged-function evaluation, zero location, orbit
 verification, the branch study, orbit sampling, and a cross-oracle selftest.
 
 Exit codes: 0 success, 1 hypothesis violation, 2 numerical failure,
-3 input/IO error. JSON is the machine interface; the default human-readable
-output is a formatting layer over the same data and never contains numbers
-absent from the JSON. JSON keys follow the field order of the library
-dataclasses they come from. Every JSON document embeds a run manifest
-echoing the parameters, so reruns reproduce all numeric fields byte for byte
-(the timestamp lives only inside the manifest).
+3 input/IO error, including an allocation failure. JSON is the machine
+interface; the default human-readable output is a formatting layer over the
+same data and never contains numbers absent from the JSON. JSON keys follow
+the field order of the library dataclasses they come from. Every JSON
+document embeds a run manifest echoing the parameters, so reruns reproduce
+all numeric fields byte for byte (the timestamp lives only inside the
+manifest).
 """
 from __future__ import annotations
 
@@ -452,8 +453,9 @@ def main(argv=None) -> int:
     except (ShootingError, IntegrationError, EigenSolveError, SingularMatrixError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, OSError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        # MemoryError: the input asked for more than fits, e.g. orbit --samples 1000000000
+        print(f"input error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -9,7 +9,8 @@ fixed tolerances below.
 First-same-as-last: the seventh stage is the field at the proposed state
 and an accepted step reuses it as the next first stage, so an integration
 costs 1 + 6 field evaluations per step attempt. Dense output is built only
-on a step that holds a requested interior sample.
+on a step that holds a requested interior sample, and evaluates all of that
+step's samples in one product.
 
 Which guard runs where:
 
@@ -123,6 +124,12 @@ def _guard(t: float, y: np.ndarray, t_last: float, y_last: np.ndarray) -> None:
         raise _blowup(t, t_last, y_last)
 
 
+def _dense_output(t: float, h: float, y: np.ndarray, k: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Quartic interpolant of the step from (t, y) over h, one row per time, in one product."""
+    theta = np.minimum(1.0, (times - t) / h)
+    return y + (theta[:, None] ** (1.0, 2.0, 3.0, 4.0)) @ ((k.T @ _P) * h).T
+
+
 def _adaptive_rk45(
     field: Callable[[float, np.ndarray], np.ndarray],
     u0: np.ndarray,
@@ -181,12 +188,9 @@ def _adaptive_rk45(
                     raise _blowup(t + h, t, y)
                 if next_sample < interior.size and interior[next_sample] <= t + h + 1e-15:
                     # dense output over (t, t+h]
-                    q = (k.T @ _P) * h
-                    while next_sample < interior.size and interior[next_sample] <= t + h + 1e-15:
-                        theta = min(1.0, (interior[next_sample] - t) / h)
-                        powers = np.array([theta, theta**2, theta**3, theta**4])
-                        samples[next_sample] = y + q @ powers
-                        next_sample += 1
+                    stop = int(np.searchsorted(interior, t + h + 1e-15, side="right"))
+                    samples[next_sample:stop] = _dense_output(t, h, y, k, interior[next_sample:stop])
+                    next_sample = stop
                 t += h
                 y, y_norm = y_new, y_new_norm
                 k[0] = k[6]
@@ -239,7 +243,10 @@ def integrate_with_variational(
     def augmented(t: float, y: np.ndarray) -> np.ndarray:
         state, mat = y[:n], y[n:].reshape(n, n)
         field, jacobian = field_and_jacobian(t, state)
-        return np.concatenate([field, (jacobian @ mat).ravel()])
+        out = np.empty(n + n * n)
+        out[:n] = field
+        np.matmul(jacobian, mat, out=out[n:].reshape(n, n))
+        return out
 
     y0 = np.concatenate([u0, np.eye(n).ravel()])
     final = _adaptive_rk45(augmented, y0, t_end).states[-1]

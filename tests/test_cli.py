@@ -312,6 +312,24 @@ def test_orbit_single_sample_exits_3_before_shooting(capsys):
     assert err.strip() == "input error: samples must be >= 2, got 1"
 
 
+@pytest.mark.parametrize("target, argv", [
+    ("orbit_trajectory", ["orbit", "--epsilon", "0", "--samples", "1000000000"]),
+    ("bifurcation_function_quadrature",
+     ["favg", "--point", "1,2,3,4", "--method", "quadrature", "--nodes", "1000000000"]),
+])
+def test_allocation_failure_is_an_input_error(capsys, monkeypatch, target, argv):
+    # a huge --samples or --nodes fails to allocate; the stand-in raises what
+    # numpy would, so the test never allocates for real
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 29.8 GiB for an array")
+
+    monkeypatch.setattr(f"chenhopf.cli.{target}", out_of_memory)
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert err.startswith("input error")
+    assert "Traceback" not in err
+
+
 # ------------------------------------------------------------ selftest
 
 def test_selftest_passes_quickly(capsys):

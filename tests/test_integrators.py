@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chenhopf import integrators
 from chenhopf.averaging import averaged_zero_points, averaged_zeros
 from chenhopf.chen import canonical_config, random_admissible_config, split_standard_form, standard_form_field, standard_form_jacobian
 from chenhopf.integrators import (
@@ -79,12 +80,87 @@ def test_sampling_never_moves_the_trajectory():
     field = lambda t, s: standard_form_field(cfg, s)
     u = np.array([0.3, -0.2, 0.5, 0.1])
     finals = []
-    for n in (2, 3, 200):
+    for n in (2, 3, 200, 20001):
         traj = integrate(field, u, 7.0, sample_count=n)
         assert traj.states.shape == (n, 4)
         assert np.array_equal(traj.states[0], u)
         finals.append(traj.states[-1])
     assert all(np.array_equal(final, finals[0]) for final in finals[1:])
+
+
+_DENSE_OUTPUT = integrators._dense_output
+
+
+def _spy_dense_output(monkeypatch):
+    # records each block call's step data and rows; k is copied because the
+    # stepper overwrites it on the next step
+    calls = []
+
+    def spy(t, h, y, k, times):
+        rows = _DENSE_OUTPUT(t, h, y, k, times)
+        calls.append((t, h, y.copy(), k.copy(), times.copy(), rows))
+        return rows
+
+    monkeypatch.setattr(integrators, "_dense_output", spy)
+    return calls
+
+
+def _check_against_per_sample_reference(calls, traj):
+    # the quartic interpolant one sample at a time: y + q @ [theta, ..., theta^4]
+    assert np.array_equal(np.concatenate([c[4] for c in calls]), traj.times[1:-1])
+    for t, h, y, k, times, rows in calls:
+        # each sample lies in (t, t + h] up to the stepper's 1e-15 slack
+        assert np.all(times > t + 1e-15) and np.all(times <= t + h + 1e-15)
+        q = (k.T @ integrators._P) * h
+        for time, row in zip(times, rows):
+            theta = min(1.0, (time - t) / h)
+            ref = y + q @ np.array([theta, theta**2, theta**3, theta**4])
+            assert np.max(np.abs(row - ref)) <= 4e-16 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("field_name", ["standard_form", "linear_part"])
+def test_block_dense_output_matches_a_per_sample_reference(monkeypatch, field_name):
+    cfg = canonical_config(0.01)
+    field = {"standard_form": lambda t, s: standard_form_field(cfg, s),
+             "linear_part": _linear_part_field(cfg)}[field_name]
+    u = np.array([0.3, -0.2, 0.5, 0.1])
+    calls = 0
+
+    def counted(t, s):
+        nonlocal calls
+        calls += 1
+        return field(t, s)
+
+    plain = integrate(counted, u, 7.0)
+    plain_calls = calls
+    for n in (3, 17, 200, 20001):
+        recorded = _spy_dense_output(monkeypatch)
+        calls = 0
+        traj = integrate(counted, u, 7.0, sample_count=n)
+        assert calls == plain_calls
+        assert np.array_equal(traj.states[0], u)
+        assert np.array_equal(traj.states[-1], plain.states[-1])
+        _check_against_per_sample_reference(recorded, traj)
+        assert np.array_equal(np.vstack([c[5] for c in recorded]), traj.states[1:-1])
+
+
+def test_block_dense_output_on_samples_at_step_ends(monkeypatch):
+    # a step end e from a densely sampled run; over [0, 2e] with 2^k + 1
+    # samples, sample 2^(k-1) is e exactly, so it falls on the end of its
+    # step, where theta is clipped to 1
+    cfg = canonical_config(0.01)
+    field = lambda t, s: standard_form_field(cfg, s)
+    u = np.array([0.3, -0.2, 0.5, 0.1])
+    recorded = _spy_dense_output(monkeypatch)
+    integrate(field, u, 7.0, sample_count=20001)
+    step_ends = [t for t, *_ in recorded[1:]]
+    for end in step_ends[::10]:
+        for n in (3, 17):
+            recorded = _spy_dense_output(monkeypatch)
+            traj = integrate(field, u, 2 * end, sample_count=n)
+            assert traj.times[(n - 1) // 2] == end
+            assert end in [t + h for t, h, *_ in recorded]
+            _check_against_per_sample_reference(recorded, traj)
 
 
 @pytest.mark.parametrize("eps, plain_evals, variational_evals", [
@@ -240,6 +316,26 @@ def test_input_guards_reject_non_finite_values(call):
 
 
 # ------------------------------------------------------------ variational
+
+@pytest.mark.parametrize("frame", ["rotating", "standard_form"])
+def test_variational_buffer_is_the_concatenated_augmented_field(frame):
+    # the augmented field writes field and J @ W into one buffer; the same
+    # products concatenated must give the same integration byte for byte
+    cfg = canonical_config(0.01)
+    pair = {"rotating": lambda t, v: rotating_field_and_jacobian(cfg, t, v),
+            "standard_form": lambda t, s: (standard_form_field(cfg, s),
+                                           standard_form_jacobian(cfg, s))}[frame]
+    u = averaged_zero_points(cfg)[0]
+
+    def augmented(t, y):
+        f, J = pair(t, y[:4])
+        return np.concatenate([f, (J @ y[4:].reshape(4, 4)).ravel()])
+
+    final, mono = integrate_with_variational(pair, u, 2 * np.pi)
+    end = integrate(augmented, np.concatenate([u, np.eye(4).ravel()]), 2 * np.pi).states[-1]
+    assert final.tobytes() == end[:4].tobytes()
+    assert mono.tobytes() == end[4:].reshape(4, 4).tobytes()
+
 
 def test_variational_zero_field_gives_identity():
     final, mono = integrate_with_variational(
