@@ -93,7 +93,7 @@ def bifurcation_function(config: RegimeConfig, u) -> np.ndarray:
     for i, row in enumerate(u.reshape(-1, 4).tolist()):
         try:
             f = _closed_form(config.params, row)
-        except OverflowError:  # from x0**2 or w0**2; other overflows give inf
+        except (OverflowError, ZeroDivisionError):  # a ** that overflows or a divisor that underflows
             f = [math.inf]
         if not all(map(math.isfinite, f)):
             raise ValueError(f"closed form is not finite at row {i}, point {row!r}")
@@ -201,7 +201,10 @@ def jacobian_determinant(config: RegimeConfig) -> float:
     omega(config.params)  # raises RegimeError outside the elliptic regime
     p = config.params
     a, b, d, r = p.a, p.b, p.d, p.r
-    return -b * (a**4 + a**3 * d - d**2) * r**3 / (2 * d**2)
+    try:
+        return -b * (a**4 + a**3 * d - d**2) * r**3 / (2 * d**2)
+    except (OverflowError, ZeroDivisionError) as exc:   # a ** overflows or 2 d^2 underflows
+        raise ValueError(f"closed-form det Df overflows at a = {a}, b = {b}, d = {d}, r = {r}") from exc
 
 
 def averaged_spectrum(config: RegimeConfig) -> QuarticSpectrum:

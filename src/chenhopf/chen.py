@@ -9,6 +9,10 @@ Two parameterizations of the same model appear here:
   ``eps``; the linear part ``L`` keeps only the (x, y) rotation block and the
   nonlinear part ``N`` carries every remaining term.
 
+Each formula has one body: ``_linear`` (L, with ``c`` free, so the full field is
+L + N), ``_nonlinear`` (N, which linear_flow's rotating field reads too) and
+``_jacobian`` (L + eps DN). Every field and Jacobian here reads them.
+
 The origin is an equilibrium for every parameter choice; it is a zero-Hopf
 equilibrium (two zero eigenvalues plus a purely imaginary pair) exactly in
 the regime the admissibility report checks.
@@ -109,28 +113,38 @@ def _state(state) -> list[float]:
     return vals
 
 
+def _linear(a, c, d, x, y, w):
+    """L's two nonzero components (a(y - x) + w, d x + c y), on floats or arrays."""
+    return a * (y - x) + w, d * x + c * y
+
+
+def _nonlinear(b, r, x, y, z, w):
+    """N's three nonzero components (-x z, x y - b z, y z + r w), on floats or arrays."""
+    return -x * z, x * y - b * z, y * z + r * w
+
+
+def _jacobian(p: ChenParams, c: float, eps: float, state) -> np.ndarray:
+    """L + eps DN at state, L's c given; eps = 1.0 is the full model's, exactly."""
+    x, y, z, _ = _state(state)
+    return np.array([
+        [-p.a, p.a, 0.0, 1.0],
+        [p.d - eps * z, c, -eps * x, 0.0],
+        [eps * y, eps * x, -eps * p.b, 0.0],
+        [0.0, eps * z, eps * y, eps * p.r],
+    ])
+
+
 def vector_field_full(params: ChenParams, state) -> np.ndarray:
     """Right-hand side of the full model."""
     x, y, z, w = _state(state)
-    a, b, c, d, r = params.a, params.b, params.c, params.d, params.r
-    return np.array([
-        a * (y - x) + w,
-        d * x + c * y - x * z,
-        x * y - b * z,
-        y * z + r * w,
-    ])
+    l0, l1 = _linear(params.a, params.c, params.d, x, y, w)
+    n1, n2, n3 = _nonlinear(params.b, params.r, x, y, z, w)
+    return np.array([l0, l1 + n1, n2, n3])
 
 
 def jacobian_full(params: ChenParams, state) -> np.ndarray:
     """State Jacobian of the full model."""
-    x, y, z, w = _state(state)
-    a, b, c, d, r = params.a, params.b, params.c, params.d, params.r
-    return np.array([
-        [-a, a, 0.0, 1.0],
-        [d - z, c, -x, 0.0],
-        [y, x, -b, 0.0],
-        [0.0, z, y, r],
-    ])
+    return _jacobian(params, params.c, 1.0, state)
 
 
 def origin_char_poly(params: ChenParams) -> np.ndarray:
@@ -153,7 +167,10 @@ def origin_quadratic_roots(params: ChenParams) -> tuple[complex, complex]:
     complex when D is negative.
     """
     a, c, d = params.a, params.c, params.d
-    disc = cmath.sqrt((a + c) ** 2 + 4 * a * d)
+    try:
+        disc = cmath.sqrt((a + c) ** 2 + 4 * a * d)
+    except OverflowError as exc:   # finite a + c whose square overflows: an input error
+        raise ValueError(f"discriminant (a + c)^2 + 4 a d overflows at a = {a}, c = {c}") from exc
     return ((c - a) + disc) / 2, ((c - a) - disc) / 2
 
 
@@ -208,12 +225,7 @@ def omega(params: ChenParams) -> float:
 
 
 def split_standard_form(config: RegimeConfig, state) -> tuple[np.ndarray, np.ndarray]:
-    """Linear part and perturbation of the averaging standard form.
-
-    The standard form is reached from the full field with parameters
-    (a, eps*b, a, d, eps*r) by shrinking all four coordinates by epsilon; its right-hand side at a state s is
-    ``linear + epsilon * perturbation`` for the two arrays returned here.
-    The linear part is independent of b, r and epsilon.
+    """Linear part L and perturbation N of the standard form, whose field is L + epsilon * N.
 
     state is one state (4,) or a stack (n, 4) of states, and the two arrays
     have its shape. One body serves both, so each row of a stack equals the
@@ -228,8 +240,8 @@ def split_standard_form(config: RegimeConfig, state) -> tuple[np.ndarray, np.nda
         raise ValueError(f"state contains non-finite entries: {s!r}")
     x, y, z, w = s.T
     zero = np.zeros(s.shape[:-1])
-    linear = np.stack([a * (y - x) + w, d * x + a * y, zero, zero], axis=-1)
-    perturbation = np.stack([zero, -x * z, x * y - b * z, y * z + r * w], axis=-1)
+    linear = np.stack([*_linear(a, a, d, x, y, w), zero, zero], axis=-1)
+    perturbation = np.stack([zero, *_nonlinear(b, r, x, y, z, w)], axis=-1)
     return linear, perturbation
 
 
@@ -241,27 +253,15 @@ def standard_form_field(config: RegimeConfig, state) -> np.ndarray:
     terms included (they fix the sign of a zero result).
     """
     x, y, z, w = _state(state)
-    a, b, d, r = config.params.a, config.params.b, config.params.d, config.params.r
-    eps = config.epsilon
-    return np.array([
-        (a * (y - x) + w) + eps * 0.0,
-        (d * x + a * y) + eps * (-x * z),
-        0.0 + eps * (x * y - b * z),
-        0.0 + eps * (y * z + r * w),
-    ])
+    p, eps = config.params, config.epsilon
+    l0, l1 = _linear(p.a, p.a, p.d, x, y, w)
+    n1, n2, n3 = _nonlinear(p.b, p.r, x, y, z, w)
+    return np.array([l0 + eps * 0.0, l1 + eps * n1, 0.0 + eps * n2, 0.0 + eps * n3])
 
 
 def standard_form_jacobian(config: RegimeConfig, state) -> np.ndarray:
     """State Jacobian of the averaging standard form (for variational flows)."""
-    x, y, z, w = _state(state)
-    a, b, d, r = config.params.a, config.params.b, config.params.d, config.params.r
-    eps = config.epsilon
-    return np.array([
-        [-a, a, 0.0, 1.0],
-        [d - eps * z, a, -eps * x, 0.0],
-        [eps * y, eps * x, -eps * b, 0.0],
-        [0.0, eps * z, eps * y, eps * r],
-    ])
+    return _jacobian(config.params, config.params.a, config.epsilon, state)
 
 
 def random_admissible_config(rng: np.random.Generator) -> RegimeConfig:

@@ -448,15 +448,18 @@ def main(argv=None) -> int:
     try:
         return _DISPATCH[args.command](args)
     except RegimeError as exc:
-        print(f"hypothesis violation: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
+        return _fail("hypothesis violation", str(exc), EXIT_HYPOTHESIS)
     except (ShootingError, IntegrationError, EigenSolveError, SingularMatrixError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return _fail("numerical failure", str(exc), EXIT_NUMERICAL)
     except (ValueError, OSError, MemoryError) as exc:
         # MemoryError: the input asked for more than fits, e.g. orbit --samples 1000000000
-        print(f"input error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return EXIT_INPUT
+        return _fail("input error", str(exc) or "out of memory", EXIT_INPUT)
+
+
+def _fail(prefix: str, message: str, code: int) -> int:
+    """One stderr line per failure: a message that spans lines (a numpy repr) is joined."""
+    print(f"{prefix}: {' '.join(message.split())}", file=sys.stderr)
+    return code
 
 
 def entrypoint() -> None:

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .chen import RegimeConfig, _state, omega
+from .chen import RegimeConfig, _nonlinear, _state, omega
 
 
 def flow(config: RegimeConfig, u, t) -> np.ndarray:
@@ -109,8 +109,8 @@ def _rotating(config: RegimeConfig, t: float, v):
 def _drift(config: RegimeConfig, x, y, z, w, q) -> np.ndarray:
     """eps Phi(t)^{-1} N(u) at u = Phi(t) v = (x, y, z, w), with q = _rotating's rows of Phi(t)^{-1}."""
     q01, q03, q11, q13 = q
-    b, r, eps = config.params.b, config.params.r, config.epsilon
-    n1, n2, n3 = -x * z, x * y - b * z, y * z + r * w
+    n1, n2, n3 = _nonlinear(config.params.b, config.params.r, x, y, z, w)
+    eps = config.epsilon
     return np.array([eps * (q01 * n1 + q03 * n3), eps * (q11 * n1 + q13 * n3), eps * n2, eps * n3])
 
 
@@ -121,7 +121,10 @@ def rotating_field(config: RegimeConfig, t: float, v) -> np.ndarray:
 
 
 def rotating_field_and_jacobian(config: RegimeConfig, t: float, v) -> tuple[np.ndarray, np.ndarray]:
-    """rotating_field and its state Jacobian eps Phi(t)^{-1} DN(Phi(t) v) Phi(t), from one _rotating call."""
+    """rotating_field and its state Jacobian eps Phi(t)^{-1} DN(Phi(t) v) Phi(t), from one _rotating call.
+
+    DN's one home besides chen._jacobian: this hot kernel expands it sparsely by hand.
+    """
     x, y, z, w, (p00, p01, p03, p10, p11, p13), q = _rotating(config, t, v)
     field = _drift(config, x, y, z, w, q)
     q01, q03, q11, q13 = q

@@ -198,8 +198,8 @@ def newton_solve(
     Not converging is a report, not an exception: the reason (see the module
     docstring) says whether the residual hit a floor ("stagnated",
     "line_search_failed") or the MAX_ITER budget ran out ("max_iter"). A
-    Jacobian that numpy cannot factor, or whose condition number exceeds
-    1/RCOND_MIN, raises SingularMatrixError.
+    Jacobian that is not finite, that numpy cannot factor, or whose condition
+    number exceeds 1/RCOND_MIN, raises SingularMatrixError.
 
     residual maps one point (n,) to its value (m,). Without a jacobian the
     Jacobian is finite_difference_jacobian's, so residual must also map a
@@ -218,6 +218,8 @@ def newton_solve(
     stalls = 0
     for it in range(1, MAX_ITER + 1):
         jx = np.asarray(jac(x), dtype=float)
+        if not np.isfinite(jx).all():   # before LAPACK, which would print to the C-level stdout
+            raise SingularMatrixError("Jacobian has non-finite entries")
         try:
             cond = np.linalg.cond(jx)
             step = np.linalg.solve(jx, -fx)
@@ -251,14 +253,18 @@ def eig4(matrix: np.ndarray) -> QuarticSpectrum:
     Each value lambda must satisfy sigma_min(M - lambda*I) <= EIG_BACKWARD_RTOL
     * |M|_2, i.e. be exact for a nearby matrix; otherwise EigenSolveError
     names the first that fails. The bound is relative, so it holds at any
-    matrix norm.
+    matrix norm. Forming M - lambda*I needs 2 |M|_2 finite (|M_ii - lambda|
+    <= 2 |M|_2); a larger finite matrix is a ValueError.
     """
     m = np.asarray(matrix, dtype=float)
     if m.shape != (4, 4):
         raise ValueError(f"4x4 matrix required, got {m.shape}")
     _require_finite(m, "matrix")
     values = np.linalg.eigvals(m)
-    bound = EIG_BACKWARD_RTOL * float(np.linalg.norm(m, 2))
+    norm = float(np.linalg.norm(m, 2))
+    if not 2 * norm < np.inf:
+        raise ValueError(f"matrix norm {norm:.3e} too large to form the shifted matrices M - lambda I")
+    bound = EIG_BACKWARD_RTOL * norm
     backward = np.linalg.svd(m - values[:, None, None] * np.eye(4), compute_uv=False)[:, -1]
     for lam, res in zip(values, backward):
         if not res <= bound:

@@ -187,8 +187,10 @@ def _reported_in_scaled_frame(config: RegimeConfig):
     try:
         yield
     except IntegrationError as exc:
-        phi, y = fundamental_matrix(config, exc.last_time), exc.last_state
-        state = np.append(phi @ y[:4], phi @ y[4:].reshape(4, -1))
+        # at huge parameters Phi(t) overflows: the state is then reported non-finite, without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            phi, y = fundamental_matrix(config, exc.last_time), exc.last_state
+            state = np.append(phi @ y[:4], phi @ y[4:].reshape(4, -1))
         raise IntegrationError(str(exc), exc.reason, exc.last_time, state) from exc
 
 

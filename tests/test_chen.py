@@ -295,6 +295,30 @@ def test_standard_form_is_rescaled_scaled_field(rng):
             assert np.max(np.abs(lhs - rhs)) < 1e-14
 
 
+def test_standard_form_jacobian_is_the_shrunk_full_jacobian_bit_for_bit(rng):
+    # one L + eps DN body serves both; times 1.0 and negation are exact, so the
+    # bytes agree, signed zeros included
+    zero_states = [np.zeros(4), -np.zeros(4), np.array([0.0, -0.0, 1.0, -0.0])]
+    for eps in (0.0, 0.01, 0.3, 1.0):
+        for cfg in (canonical_config(eps), random_admissible_config(rng).with_epsilon(eps)):
+            p = cfg.params
+            shrunk = ChenParams(a=p.a, b=eps * p.b, c=p.a, d=p.d, r=eps * p.r)
+            random_states = [rng.uniform(-span, span, 4) for span in (1.0, 1e3, 1e6) for _ in range(10)]
+            for s in zero_states + random_states:
+                expected = jacobian_full(shrunk, eps * s)
+                assert standard_form_jacobian(cfg, s).tobytes() == expected.tobytes()
+
+
+def test_full_field_at_c_equal_a_is_the_split_at_unit_epsilon(rng):
+    # one body each for L and N: L + N is the full field with c = a
+    zero_states = [np.zeros(4), -np.zeros(4), np.array([0.0, -0.0, 1.0, -0.0])]
+    for cfg in (canonical_config(1.0), random_admissible_config(rng).with_epsilon(1.0)):
+        random_states = [rng.uniform(-span, span, 4) for span in (1.0, 1e3, 1e6) for _ in range(10)]
+        for s in zero_states + random_states:
+            lin, pert = split_standard_form(cfg, s)
+            assert np.array_equal(vector_field_full(cfg.params, s), lin + cfg.epsilon * pert)
+
+
 def test_standard_form_jacobian_matches_finite_differences(rng):
     cfg = canonical_config(0.3)
     for _ in range(10):

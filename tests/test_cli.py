@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import io
@@ -6,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chenhopf import averaging, chen, linear_flow, orbits
 from chenhopf.cli import main
@@ -328,6 +331,81 @@ def test_allocation_failure_is_an_input_error(capsys, monkeypatch, target, argv)
     assert code == 3
     assert err.startswith("input error")
     assert "Traceback" not in err
+
+
+# ------------------------------------------------------------ exit-code contract
+
+_PREFIX = {1: "hypothesis violation: ", 2: "numerical failure: ", 3: "input error: "}
+
+
+@pytest.mark.parametrize("argv, code, ending", [
+    # (a + c)**2 overflows in the closed-form origin spectrum
+    (["spectrum", "--a", "1e154", "--d", "0"], 3, "overflows at a = 1e+154, c = 1e+154"),
+    # |M|_2 overflows, so eig4 cannot form M - lambda I
+    (["spectrum", "--a", "1.7e308", "--r", "1e-320"], 3, "the shifted matrices M - lambda I"),
+    # the rotating integration fails at t = 0, and Phi(0) overflows mapping its state back
+    (["sweep", "--d", "1.7e308", "--r", "1e-320", "--epsilons", "1e8,1e300"], 2,
+     "field is non-finite at t = 0"),
+    # a**4 overflows in the closed-form det Df
+    (["zeros", "--d", "1e300"], 3, "d = 1e+300, r = 1.0"),
+    # 2 a**2 (a+d)**2 underflows to 0 in the closed-form averaged function
+    (["favg", "--a", "5e-324", "--d", "-1", "--point", "1,1,1,1", "--method", "closed"], 3,
+     "point [1.0, 1.0, 1.0, 1.0]"),
+    # a multi-line numpy repr in the message is joined into one line
+    (["favg", "--b", "1e-320", "--point", "1.7e308,1e-320,0.5,-0", "--method", "quadrature",
+      "--nodes", "9"], 3, "]])"),
+    # the equilibrium Newton's Jacobian overflows; LAPACK would print to the C-level stdout
+    (["sweep", "--r", "1e300", "--epsilons", "1e300"], 2, "Jacobian has non-finite entries"),
+], ids=["spectrum-discriminant", "spectrum-eig4-norm", "sweep-map-back", "zeros-det",
+        "favg-underflow", "favg-multiline", "sweep-newton-jacobian"])
+def test_overflowing_derived_quantity_exits_with_one_line(capfd, argv, code, ending):
+    # capfd also catches what LAPACK prints below Python
+    assert main(argv) == code
+    out, err = capfd.readouterr()
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(_PREFIX[code]), err
+    assert lines[0].endswith(ending)
+    assert " ** On entry" not in out
+
+
+_VALUES = ["0", "-0", "5e-324", "1e-320", "0.5", "-1", "1e8", "1e154", "1e300", "1.7e308",
+           "inf", "-inf", "nan"]
+# at eps = 0.5 or 1e8 a shooting integration can spend MAX_STEPS, seconds per example
+_EPSILONS = [v for v in _VALUES if v not in ("0.5", "1e8")]
+
+
+@st.composite
+def _argv(draw):
+    value = st.sampled_from(_VALUES)
+    command = draw(st.sampled_from(["check", "spectrum", "zeros", "favg", "verify", "sweep"]))
+    argv = [command] + [f"--{flag}={draw(value)}" for flag in "abcdr" if draw(st.booleans())]
+    if command == "zeros":
+        argv.append(f"--tol={draw(value)}")
+    elif command == "favg":
+        argv += [f"--point={','.join(draw(st.lists(value, min_size=4, max_size=4)))}",
+                 f"--method={draw(st.sampled_from(['closed', 'quadrature', 'both']))}",
+                 f"--nodes={draw(st.sampled_from([0, 8, 9]))}"]
+    elif command == "verify":
+        argv.append(f"--epsilon={draw(st.sampled_from(_EPSILONS))}")
+    elif command == "sweep":
+        epsilons = draw(st.lists(st.sampled_from(_EPSILONS), min_size=1, max_size=2))
+        argv.append(f"--epsilons={','.join(epsilons)}")
+    return argv + ["--json"] * draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=_argv())
+def test_generated_argv_keeps_the_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2, 3)
+    if argv[0] == "check" and code == 1:
+        assert lines == []   # check's exit 1 is its verdict, reported on stdout
+    elif code:
+        assert len(lines) == 1 and lines[0].startswith(_PREFIX[code]), lines
 
 
 # ------------------------------------------------------------ selftest

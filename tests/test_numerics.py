@@ -308,6 +308,9 @@ def test_eig4_rejects_nonfinite():
     m[0, 0] = np.inf
     with pytest.raises(ValueError):
         eig4(m)
+    # finite, but M - lambda I would overflow: 1.7e308 - (-1.7e308)
+    with pytest.raises(ValueError, match="too large"):
+        eig4(np.diag([1.7e308, -1.7e308, 1.0, 1.0]))
 
 
 def test_spectrum_match_distance_is_permutation_blind():
