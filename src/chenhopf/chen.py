@@ -151,13 +151,17 @@ def origin_char_poly(params: ChenParams) -> np.ndarray:
     """Characteristic polynomial at the origin, monic in descending powers.
 
     Expanded from the factored form
-    ``(r - l)(b + l)(a(c + d - l) + (c - l) l)``.
+    ``(r - l)(b + l)(a(c + d - l) + (c - l) l)``. Raises ValueError when a
+    coefficient overflows, as origin_quadratic_roots does.
     """
     a, b, c, d, r = params.a, params.b, params.c, params.d, params.r
     lin1 = np.array([-1.0, r])                       # r - l
     lin2 = np.array([1.0, b])                        # b + l
     quad = np.array([-1.0, c - a, a * (c + d)])      # -l^2 + (c-a) l + a(c+d)
-    return np.polymul(np.polymul(lin1, lin2), quad)
+    coeffs = np.polymul(np.polymul(lin1, lin2), quad)
+    if not np.isfinite(coeffs).all():   # finite coefficients whose products overflow: an input error
+        raise ValueError(f"characteristic polynomial overflows at a = {a}, b = {b}, c = {c}, d = {d}, r = {r}")
+    return coeffs
 
 
 def origin_quadratic_roots(params: ChenParams) -> tuple[complex, complex]:
@@ -230,14 +234,18 @@ def split_standard_form(config: RegimeConfig, state) -> tuple[np.ndarray, np.nda
     state is one state (4,) or a stack (n, 4) of states, and the two arrays
     have its shape. One body serves both, so each row of a stack equals the
     call on that state bit for bit (the zero entries are filled with 0.0, so
-    their sign does not depend on the state).
+    their sign does not depend on the state). A stack with a non-finite entry
+    is refused by naming its first such row, so the message stays one short line.
     """
     a, b, d, r = config.params.a, config.params.b, config.params.d, config.params.r
     s = np.asarray(state, dtype=float)
     if s.ndim not in (1, 2) or s.shape[-1] != 4:
         raise ValueError(f"state must have 4 components, got shape {s.shape}")
     if not np.isfinite(s).all():
-        raise ValueError(f"state contains non-finite entries: {s!r}")
+        if s.ndim == 1:
+            raise ValueError(f"state contains non-finite entries: {s!r}")
+        row = int(np.argmin(np.isfinite(s).all(axis=1)))   # the first bad row, not the whole stack
+        raise ValueError(f"state row {row} of {len(s)} contains non-finite entries: {s[row]!r}")
     x, y, z, w = s.T
     zero = np.zeros(s.shape[:-1])
     linear = np.stack([*_linear(a, a, d, x, y, w), zero, zero], axis=-1)

@@ -143,9 +143,14 @@ def _manifest(args, command: str) -> dict:
     }
 
 
+def _dumps(payload: dict) -> str:
+    """Strict JSON: a NaN or infinity raises ValueError (an input error) instead of printing a non-standard token."""
+    return json.dumps(payload, indent=2, allow_nan=False)
+
+
 def _emit(args, payload: dict, human: str) -> None:
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(_dumps(payload))
     else:
         print(human)
 
@@ -318,9 +323,9 @@ def _cmd_sweep(args) -> int:
               f"wrote {len(study.rows)} rows to {args.out}; "
               f"slopes: {summary['slope_by_branch']}")
     else:
+        report = _dumps(summary) if args.json else f"slopes: {summary['slope_by_branch']}"
         sys.stdout.write(text)
-        print(json.dumps(summary, indent=2) if args.json else
-              f"slopes: {summary['slope_by_branch']}", file=sys.stderr)
+        print(report, file=sys.stderr)
     return EXIT_OK
 
 

@@ -28,10 +28,16 @@ Which guard runs where:
   already computed, since finiteness was checked before acceptance;
 * the loop as a whole: at most MAX_STEPS step attempts ("max_steps").
 
-Fields are called as field(t, y), stage i at t + _C[i] * h. Every
-IntegrationError carries the last good time and state, from before the
-failing step. These guards report overflow, so numpy's overflow and
+Fields are called as field(t, y), stage i at t + _C[i] * h. The stepper
+copies every field value into its stage row, so a field may return one
+buffer that it rewrites on each call (integrate_with_variational does).
+Every IntegrationError carries the last good time and state, from before
+the failing step. These guards report overflow, so numpy's overflow and
 invalid-value warnings are off inside the stepper.
+
+The per-step products (stage sums, error estimate, the variational J W) go
+through ndarray.dot: cheaper per call than @, and the same bits at these
+shapes, which the test-suite checks on the BLAS it runs on.
 """
 from __future__ import annotations
 
@@ -168,15 +174,15 @@ def _adaptive_rk45(
             # stage i's state; the last one is the 5th-order solution, its field k[6]
             try:
                 for i in range(1, 7):
-                    y_new = y + h * (_A[i] @ k[:i])
+                    y_new = y + h * _A[i].dot(k[:i])
                     k[i] = field(t + _C[i] * h, y_new)
             except ValueError:
                 if np.isfinite(y_new).all():  # not an overflow: the field's own input error
                     raise
                 _guard(t + h, y_new, t, y)
-            err_vec = h * (_ERR @ k)
             y_new_norm = float(np.abs(y_new).max())
-            err_norm = float(np.abs(err_vec).max())
+            # max|h * (_ERR k)|, exactly: h > 0 and rounding is monotone
+            err_norm = h * float(np.abs(_ERR.dot(k)).max())
             if not (math.isfinite(y_new_norm) and math.isfinite(err_norm)):
                 _guard(t + h, y_new, t, y)
             scale = ABS_TOL + REL_TOL * max(y_norm, y_new_norm)
@@ -239,13 +245,14 @@ def integrate_with_variational(
     """
     u0 = np.asarray(u0, dtype=float)
     n = u0.size
+    # one buffer per integration: the stepper copies each field value into its stage row
+    out = np.empty(n + n * n)
+    out_mat = out[n:].reshape(n, n)
 
     def augmented(t: float, y: np.ndarray) -> np.ndarray:
-        state, mat = y[:n], y[n:].reshape(n, n)
-        field, jacobian = field_and_jacobian(t, state)
-        out = np.empty(n + n * n)
+        field, jacobian = field_and_jacobian(t, y[:n])
         out[:n] = field
-        np.matmul(jacobian, mat, out=out[n:].reshape(n, n))
+        jacobian.dot(y[n:].reshape(n, n), out=out_mat)
         return out
 
     y0 = np.concatenate([u0, np.eye(n).ravel()])

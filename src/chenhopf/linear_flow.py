@@ -12,11 +12,14 @@ fundamental matrix is assembled from basis flows rather than transcribed, so
 the hand-written inverse below is validated against an independent
 construction.
 
-rotating_field is the standard form u' = L u + eps N(u) in the rotating
-frame u = Phi(t) v (Lagrange standard form): v' = eps Phi(t)^{-1} N(Phi(t) v),
-only the slow drift, since the rotation is solved in closed form.
-rotating_field_and_jacobian returns that field with its state Jacobian, for
-variational runs, and rotates v once for both.
+rotating_kernels(config) returns the standard form u' = L u + eps N(u) in
+the rotating frame u = Phi(t) v (Lagrange standard form) as a pair of
+kernels: field(t, v) = eps Phi(t)^{-1} N(Phi(t) v), only the slow drift,
+since the rotation is solved in closed form, and field_and_jacobian(t, v),
+that field with its state Jacobian for variational runs, rotating v once
+for both. The factory binds the config's constants once, so an integration
+builds one pair and calls it at every stage; rotating_field and
+rotating_field_and_jacobian are one-off calls into a fresh pair.
 """
 from __future__ import annotations
 
@@ -91,53 +94,61 @@ def period(config: RegimeConfig) -> float:
     return 2 * math.pi / omega(config.params)
 
 
-def _rotating(config: RegimeConfig, t: float, v):
-    """Phi(t) v's x and y, rows x and y of Phi(t) on (x, y, w), and of Phi(t)^{-1} on (y, w) (N_x = 0)."""
-    p = config.params
-    om, a, d = omega(p), p.a, p.d
+def rotating_kernels(config: RegimeConfig):
+    """(field(t, v), field_and_jacobian(t, v)) in the rotating frame, config's constants bound once.
+
+    Omega (chen.omega's regime check), a + d, a(a+d), om/(a+d), om/a,
+    om d/(a(a+d)), b, r and eps are read here; each call still validates v
+    through chen._state.
+    """
+    p, eps = config.params, config.epsilon
+    om, a, d, b, r = omega(p), p.a, p.d, p.b, p.r
     ad = a + d
-    cos, sin = math.cos(om * t), math.sin(om * t)
-    ks, ws, kds = (om / ad) * sin, (om / a) * sin / ad, (om * d / (a * ad)) * sin
-    dx, dy = (1 - cos) / ad, d * (cos - 1) / (a * ad)
-    rows = (cos + ks, -ks, dx - ws, -kds, cos - ks, dy)
-    vx, vy, vz, vw = _state(v)
-    x = rows[0] * vx + rows[1] * vy + rows[2] * vw
-    y = rows[3] * vx + rows[4] * vy + rows[5] * vw
-    return x, y, vz, vw, rows, (ks, dx + ws, cos + ks, dy)
+    a_ad = a * ad
+    k_ad, k_a, k_d = om / ad, om / a, om * d / a_ad
 
+    def rotate(t: float, v):
+        """Phi(t) v, rows x and y of Phi(t) on (x, y, w), and the drift (N_x = 0)."""
+        cos, sin = math.cos(om * t), math.sin(om * t)
+        ks, ws, kds = k_ad * sin, k_a * sin / ad, k_d * sin
+        dx, dy = (1 - cos) / ad, d * (cos - 1) / a_ad
+        rows = (cos + ks, -ks, dx - ws, -kds, cos - ks, dy)
+        vx, vy, vz, vw = _state(v)
+        x = rows[0] * vx + rows[1] * vy + rows[2] * vw
+        y = rows[3] * vx + rows[4] * vy + rows[5] * vw
+        # rows x and y of Phi(t)^{-1} on (y, w)
+        q01, q03, q11, q13 = q = (ks, dx + ws, cos + ks, dy)
+        n1, n2, n3 = _nonlinear(b, r, x, y, vz, vw)
+        drift = np.array([eps * (q01 * n1 + q03 * n3), eps * (q11 * n1 + q13 * n3), eps * n2, eps * n3])
+        return drift, x, y, vz, rows, q
 
-def _drift(config: RegimeConfig, x, y, z, w, q) -> np.ndarray:
-    """eps Phi(t)^{-1} N(u) at u = Phi(t) v = (x, y, z, w), with q = _rotating's rows of Phi(t)^{-1}."""
-    q01, q03, q11, q13 = q
-    n1, n2, n3 = _nonlinear(config.params.b, config.params.r, x, y, z, w)
-    eps = config.epsilon
-    return np.array([eps * (q01 * n1 + q03 * n3), eps * (q11 * n1 + q13 * n3), eps * n2, eps * n3])
+    def field(t: float, v) -> np.ndarray:
+        return rotate(t, v)[0]
+
+    def field_and_jacobian(t: float, v) -> tuple[np.ndarray, np.ndarray]:
+        """DN's one home besides chen._jacobian: this hot kernel expands it sparsely by hand."""
+        drift, x, y, z, (p00, p01, p03, p10, p11, p13), (q01, q03, q11, q13) = rotate(t, v)
+        # rows y and w of DN(u) Phi are (g0, g1, -x, g3) and (h0, h1, y, h3); row x is zero
+        g0, g1, g3 = -z * p00, -z * p01, -z * p03
+        h0, h1, h3 = z * p10, z * p11, z * p13 + r
+        # Phi^{-1} mixes rows y and w into rows x and y and passes rows z and w through
+        a1, a3, c1, c3 = eps * q01, eps * q03, eps * q11, eps * q13
+        jacobian = np.array([
+            a1 * g0 + a3 * h0, a1 * g1 + a3 * h1, a3 * y - a1 * x, a1 * g3 + a3 * h3,
+            c1 * g0 + c3 * h0, c1 * g1 + c3 * h1, c3 * y - c1 * x, c1 * g3 + c3 * h3,
+            eps * (y * p00 + x * p10), eps * (y * p01 + x * p11), -eps * b, eps * (y * p03 + x * p13),
+            eps * h0, eps * h1, eps * y, eps * h3,
+        ]).reshape(4, 4)
+        return drift, jacobian
+
+    return field, field_and_jacobian
 
 
 def rotating_field(config: RegimeConfig, t: float, v) -> np.ndarray:
     """eps Phi(t)^{-1} N(Phi(t) v), N = (0, -xz, xy - bz, yz + rw); zero at eps = 0."""
-    x, y, z, w, _, q = _rotating(config, t, v)
-    return _drift(config, x, y, z, w, q)
+    return rotating_kernels(config)[0](t, v)
 
 
 def rotating_field_and_jacobian(config: RegimeConfig, t: float, v) -> tuple[np.ndarray, np.ndarray]:
-    """rotating_field and its state Jacobian eps Phi(t)^{-1} DN(Phi(t) v) Phi(t), from one _rotating call.
-
-    DN's one home besides chen._jacobian: this hot kernel expands it sparsely by hand.
-    """
-    x, y, z, w, (p00, p01, p03, p10, p11, p13), q = _rotating(config, t, v)
-    field = _drift(config, x, y, z, w, q)
-    q01, q03, q11, q13 = q
-    b, r, eps = config.params.b, config.params.r, config.epsilon
-    # rows y and w of DN(u) Phi are (g0, g1, -x, g3) and (h0, h1, y, h3); row x is zero
-    g0, g1, g3 = -z * p00, -z * p01, -z * p03
-    h0, h1, h3 = z * p10, z * p11, z * p13 + r
-    # Phi^{-1} mixes rows y and w into rows x and y and passes rows z and w through
-    a1, a3, c1, c3 = eps * q01, eps * q03, eps * q11, eps * q13
-    jacobian = np.array([
-        a1 * g0 + a3 * h0, a1 * g1 + a3 * h1, a3 * y - a1 * x, a1 * g3 + a3 * h3,
-        c1 * g0 + c3 * h0, c1 * g1 + c3 * h1, c3 * y - c1 * x, c1 * g3 + c3 * h3,
-        eps * (y * p00 + x * p10), eps * (y * p01 + x * p11), -eps * b, eps * (y * p03 + x * p13),
-        eps * h0, eps * h1, eps * y, eps * h3,
-    ]).reshape(4, 4)
-    return field, jacobian
+    """rotating_field and its state Jacobian eps Phi(t)^{-1} DN(Phi(t) v) Phi(t)."""
+    return rotating_kernels(config)[1](t, v)

@@ -36,7 +36,7 @@ phi_T(u) - u vanishes for every u; a period trust region around the seed
 keeps the damped Newton iteration away from it.
 
 Both solvers integrate in the rotating frame u = Phi(t) v
-(linear_flow.rotating_field), where only the O(eps) drift is left, and map
+(linear_flow.rotating_kernels), where only the O(eps) drift is left, and map
 back exactly: phi_T(u) = Phi(T) v(T), monodromy Phi(T) W(T). orbit_trajectory
 and recurrence_defect integrate the standard form: the other frame's check.
 """
@@ -56,7 +56,7 @@ from .chen import (
     vector_field_full,
 )
 from .integrators import IntegrationError, Trajectory, integrate, integrate_with_variational
-from .linear_flow import flow, fundamental_matrix, period, rotating_field, rotating_field_and_jacobian
+from .linear_flow import flow, fundamental_matrix, period, rotating_kernels
 from .numerics import EigenSolveError, NewtonReport, QuarticSpectrum, SingularMatrixError, eig4, newton_solve
 
 #: accepted orbits must close up to this return-map residual
@@ -197,15 +197,14 @@ def _reported_in_scaled_frame(config: RegimeConfig):
 def _return_map(config: RegimeConfig, u, T: float) -> np.ndarray:
     """phi_T(u) = Phi(T) v(T), v integrated from u in the rotating frame."""
     with _reported_in_scaled_frame(config):
-        end = integrate(lambda t, v: rotating_field(config, t, v), u, T).states[-1]
+        end = integrate(rotating_kernels(config)[0], u, T).states[-1]
     return flow(config, end, T)
 
 
 def _return_map_with_monodromy(config: RegimeConfig, u, T: float) -> tuple[np.ndarray, np.ndarray]:
     """phi_T(u) and its monodromy Phi(T) W(T), from one rotating-frame variational run."""
     with _reported_in_scaled_frame(config):
-        end, w = integrate_with_variational(
-            lambda t, v: rotating_field_and_jacobian(config, t, v), u, T)
+        end, w = integrate_with_variational(rotating_kernels(config)[1], u, T)
     return flow(config, end, T), fundamental_matrix(config, T) @ w
 
 

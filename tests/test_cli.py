@@ -351,13 +351,17 @@ _PREFIX = {1: "hypothesis violation: ", 2: "numerical failure: ", 3: "input erro
     # 2 a**2 (a+d)**2 underflows to 0 in the closed-form averaged function
     (["favg", "--a", "5e-324", "--d", "-1", "--point", "1,1,1,1", "--method", "closed"], 3,
      "point [1.0, 1.0, 1.0, 1.0]"),
-    # a multi-line numpy repr in the message is joined into one line
+    # the quadrature's (64, 4) stack of flowed states names its first non-finite row only
     (["favg", "--b", "1e-320", "--point", "1.7e308,1e-320,0.5,-0", "--method", "quadrature",
-      "--nodes", "9"], 3, "]])"),
+      "--nodes", "64"], 3, "state row 0 of 64 contains non-finite entries: "
+                           + " ".join(repr(np.array([1.7e308, np.nan, 0.5, -0.0])).split())),
+    # the characteristic polynomial's coefficients overflow; --json would print -Infinity
+    (["spectrum", "--b", "1e300", "--c", "1e154", "--json"], 3,
+     "characteristic polynomial overflows at a = -1.0, b = 1e+300, c = 1e+154, d = 2.0, r = 1.0"),
     # the equilibrium Newton's Jacobian overflows; LAPACK would print to the C-level stdout
     (["sweep", "--r", "1e300", "--epsilons", "1e300"], 2, "Jacobian has non-finite entries"),
 ], ids=["spectrum-discriminant", "spectrum-eig4-norm", "sweep-map-back", "zeros-det",
-        "favg-underflow", "favg-multiline", "sweep-newton-jacobian"])
+        "favg-underflow", "favg-quadrature-row", "spectrum-char-poly", "sweep-newton-jacobian"])
 def test_overflowing_derived_quantity_exits_with_one_line(capfd, argv, code, ending):
     # capfd also catches what LAPACK prints below Python
     assert main(argv) == code
@@ -365,7 +369,35 @@ def test_overflowing_derived_quantity_exits_with_one_line(capfd, argv, code, end
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(_PREFIX[code]), err
     assert lines[0].endswith(ending)
-    assert " ** On entry" not in out
+    assert len(lines[0].encode()) < 300, len(lines[0].encode())
+    assert out == ""   # no partial payload, and nothing from LAPACK (" ** On entry")
+
+
+def test_multi_line_failure_message_is_joined_into_one_line(capsys, monkeypatch):
+    # a numpy repr of a matrix spans lines; the failure is still one stderr line
+    def fails(*args, **kwargs):
+        raise ValueError(f"matrix contains non-finite entries: {np.full((4, 4), np.nan)!r}")
+
+    monkeypatch.setattr("chenhopf.cli.bifurcation_function", fails)
+    code, out, err = run(capsys, "favg", "--point", "1,2,3,4", "--method", "closed")
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and err.startswith("input error: matrix contains")
+    assert err.rstrip().endswith("]])")
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--json"],                                       # through _emit
+    ["sweep", "--epsilons", "0.005,0.01", "--json"],              # the summary on stderr
+])
+def test_json_output_never_carries_a_non_standard_token(capsys, monkeypatch, argv):
+    # json.dumps would print NaN; strict JSON makes it an input error before any output
+    monkeypatch.setattr("chenhopf.cli.origin_char_poly", lambda params: np.array([1.0, np.nan]))
+    monkeypatch.setattr("chenhopf.cli.branch_study",
+                        lambda config, epsilons: orbits.BranchStudy([], {1: float("nan")}))
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("input error: Out of range float values are not JSON compliant")
+    assert len(err.splitlines()) == 1
 
 
 _VALUES = ["0", "-0", "5e-324", "1e-320", "0.5", "-1", "1e8", "1e154", "1e300", "1.7e308",

@@ -215,6 +215,44 @@ def test_rotating_frame_field_evaluation_counts(eps, plain_evals, variational_ev
     assert calls == variational_evals
 
 
+@pytest.mark.parametrize("rows, cols", [(i, n) for n in (4, 20) for i in range(1, 8)])
+def test_dot_matches_matmul_at_the_stepper_shapes(rng, rows, cols):
+    # the stepper's stage sums (i,) @ (i, n) and error estimate (7,) @ (7, n)
+    # go through ndarray.dot; its results must be matmul's bit for bit on this BLAS
+    for _ in range(300):
+        coef = rng.standard_normal(rows) * 10.0 ** rng.integers(-3, 4, rows)
+        k = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-12, 3, (rows, 1))
+        got = coef.dot(k)
+        assert got.tobytes() == (coef @ k).tobytes() == np.matmul(coef, k).tobytes()
+
+
+def test_dot_into_a_buffer_matches_matmul_for_the_variational_product(rng):
+    # integrate_with_variational writes J W into a reused (4, 4) view with ndarray.dot
+    out = np.empty(20)
+    view = out[4:].reshape(4, 4)
+    for _ in range(2000):
+        jac, mat = rng.standard_normal((2, 4, 4)) * 10.0 ** rng.integers(-6, 3, (2, 1, 1))
+        jac.dot(mat, out=view)
+        assert view.tobytes() == (jac @ mat).tobytes() == np.matmul(jac, mat).tobytes()
+
+
+def test_a_field_may_return_one_reused_buffer():
+    # the stepper copies every field value into its stage row, so a field that
+    # writes each value into the same array integrates bit for bit like one
+    # that allocates
+    cfg = canonical_config(0.01)
+    u0 = averaged_zeros(cfg)[0].point
+    buffer = np.empty(4)
+
+    def reused(t, s):
+        buffer[:] = standard_form_field(cfg, s)
+        return buffer
+
+    fresh = integrate(lambda t, s: standard_form_field(cfg, s), u0, 2 * np.pi, sample_count=7)
+    again = integrate(reused, u0, 2 * np.pi, sample_count=7)
+    assert again.states.tobytes() == fresh.states.tobytes()
+
+
 def test_time_dependent_field_sees_the_stage_times():
     traj = integrate(lambda t, s: np.array([np.cos(t), -np.sin(t), 2 * t, 0.0]), np.zeros(4), 3.0,
                      sample_count=4)

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from chenhopf import linear_flow
 from chenhopf.averaging import averaged_spectrum, averaged_zero_points, averaged_zeros
 from chenhopf.chen import (
     RegimeConfig,
@@ -131,6 +132,24 @@ def test_rotating_frame_maps_back_with_phi_of_t(rng):
         got_end, got_mono = _return_map_with_monodromy(cfg, u, T)
         assert np.max(np.abs(got_end - end)) < 1e-9
         assert np.max(np.abs(got_mono - mono)) < 1e-8
+
+
+def test_rotating_kernels_are_built_once_per_integration(monkeypatch):
+    # the return maps bind the config's constants once and hand the bound
+    # kernels to the stepper, not a per-call wrapper that rebinds them
+    built = []
+
+    def counting(config):
+        built.append(config)
+        return linear_flow.rotating_kernels(config)
+
+    monkeypatch.setattr("chenhopf.orbits.rotating_kernels", counting)
+    cfg = canonical_config(0.01)
+    zero, t0 = averaged_zeros(cfg)[0].point, period(cfg)
+    _return_map(cfg, zero, t0)
+    assert built == [cfg]
+    _return_map_with_monodromy(cfg, zero, t0)
+    assert built == [cfg, cfg]
 
 
 def test_rotating_frame_failures_report_the_scaled_state(monkeypatch):
