@@ -7,10 +7,10 @@ back along the unperturbed flow,
 
 whose simple zeros mark the initial points of periodic orbits persisting for
 small epsilon. Two evaluation routes are kept deliberately independent: a
-hand-expanded closed form, and direct quadrature composing the explicit
-inverse fundamental matrix, the closed-form flow, and the perturbation. The
-test-suite treats their agreement as the module's central correctness
-evidence; neither path reuses the other's algebra.
+hand-expanded closed form, and direct quadrature that flows u forward, takes
+the perturbation there and pulls it back with the flow itself, since
+Phi(t)^{-1} = Phi(-t). The test-suite treats their agreement as the module's
+central correctness evidence; neither path reuses the other's algebra.
 
 The hypotheses alone prove the closed-form zeros simple and the stability
 clause inapplicable (averaged_zeros, stability_verdict); SIMPLICITY_RTOL and
@@ -25,14 +25,13 @@ finite-difference oracles, which is what pins these signs.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chen import ChenParams, RegimeConfig, RegimeError, omega, split_standard_form
-from .linear_flow import flow, fundamental_matrix_inverse, period
+from .linear_flow import flow, period
 from .numerics import (
     NewtonReport,
     QuarticSpectrum,
@@ -129,8 +128,9 @@ def _closed_form(p: ChenParams, u: list[float]) -> list[float]:
 def bifurcation_function_quadrature(config: RegimeConfig, u, nodes: int = 64) -> np.ndarray:
     """Bifurcation function by direct quadrature of its defining average.
 
-    Composes the explicit inverse fundamental matrix, the closed-form flow
-    and the perturbation column; shares no algebra with the closed form. The
+    The sample at node t is flow(N(flow(u, t)), -t): the closed-form flow
+    carries u forward, the perturbation column is taken there, and the flow
+    at -t is Phi(t)^{-1}; shares no algebra with the closed form. The
     integrand is a trigonometric polynomial with at most 3 harmonics, so any
     nodes >= 8 is exact to roundoff. u is one point (4,) or a stack (k, 4)
     of points, and the result has u's shape. All nodes of all points go
@@ -148,8 +148,7 @@ def bifurcation_function_quadrature(config: RegimeConfig, u, nodes: int = 64) ->
             states = flow(config, u.reshape(-1, 1, 4), times)  # (k, nodes, 4)
             k = states.shape[0]
             _, perturbation = split_standard_form(config, states.reshape(-1, 4))
-            inverse = np.tile(fundamental_matrix_inverse(config, times), (k, 1, 1))
-            samples = (inverse @ perturbation[:, :, None])[:, :, 0]
+            samples = flow(config, perturbation.reshape(k, nodes, 4), -times)
         # node-major rows, so periodic_trapezoid adds each point's nodes in order
         return samples.reshape(k, nodes, 4).transpose(1, 0, 2).reshape(nodes, 4 * k)
 
@@ -212,11 +211,14 @@ def averaged_spectrum(config: RegimeConfig) -> QuarticSpectrum:
 
     Two eigenvalues (-b +/- sqrt(b(b - 8r)))/2 and a conjugate pair
     (r/2)(1 +/- i*a*Omega/d); their product equals jacobian_determinant.
+    sqrt(b(b - 8r)) is taken as sqrt|b| sqrt|b - 8r|, real when the factors
+    share a sign, so the product b(b - 8r), which can underflow, is never formed.
     """
     p = config.params
     a, b, d, r = p.a, p.b, p.d, p.r
     om = omega(p)
-    disc = cmath.sqrt(complex(b * (b - 8 * r)))
+    root = math.sqrt(abs(b)) * math.sqrt(abs(b - 8 * r))
+    disc = root if (b < 0) == (b - 8 * r < 0) else complex(0.0, root)
     return QuarticSpectrum.from_iterable([
         (-b + disc) / 2,
         (-b - disc) / 2,
@@ -292,8 +294,7 @@ def stability_verdict(config: RegimeConfig) -> StabilityVerdict:
     conjugate pair's real part r/2 needs r < 0. The other pair
     (-b +/- sqrt(b(b - 8r)))/2 is negative only if real with sum -b < 0 and
     product 2br > 0, so r > 0, or complex with -b/2 < 0, but b > 0 and r < 0
-    make b(b - 8r) > 0. The note names the eigenvalue with the largest real part;
-    only where b(b - 8r) underflows can the rounded spectrum lose that sign.
+    make b(b - 8r) > 0. The note names the eigenvalue with the largest real part.
     """
     worst = max(averaged_spectrum(config).values, key=lambda v: v.real)
     return StabilityVerdict(

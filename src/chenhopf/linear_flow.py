@@ -7,19 +7,19 @@ With the perturbation switched off the standard form reduces to
 Averaging needs the elliptic regime a(a+d) < 0, where every solution is
 periodic with the common period 2*pi/Omega, Omega = sqrt(-a(a+d)). The regime
 is decided by chen.omega alone; it raises RegimeError otherwise, which also
-covers the degenerate a = 0 and a + d = 0 the formulas below divide by. The
-fundamental matrix is assembled from basis flows rather than transcribed, so
-the hand-written inverse below is validated against an independent
-construction.
+covers the degenerate a = 0 and a + d = 0 the formulas below divide by.
+flow is the one general construction of the rotation Phi(t) = exp(tL): the
+fundamental matrix is assembled from basis flows, and since Phi(t)^{-1} is
+Phi(-t), its inverse is the fundamental matrix at -t.
 
 rotating_kernels(config) returns the standard form u' = L u + eps N(u) in
 the rotating frame u = Phi(t) v (Lagrange standard form) as a pair of
 kernels: field(t, v) = eps Phi(t)^{-1} N(Phi(t) v), only the slow drift,
 since the rotation is solved in closed form, and field_and_jacobian(t, v),
-that field with its state Jacobian for variational runs, rotating v once
-for both. The factory binds the config's constants once, so an integration
-builds one pair and calls it at every stage; rotating_field and
-rotating_field_and_jacobian are one-off calls into a fresh pair.
+that field with its state Jacobian eps Phi(t)^{-1} DN(Phi(t) v) Phi(t) for
+variational runs, rotating v once for both. The factory binds the config's
+constants once, so an integration builds one pair and calls it at every
+stage.
 """
 from __future__ import annotations
 
@@ -57,34 +57,13 @@ def fundamental_matrix(config: RegimeConfig, t: float) -> np.ndarray:
     return flow(config, np.eye(4), t).T
 
 
-def fundamental_matrix_inverse(config: RegimeConfig, t) -> np.ndarray:
-    """Explicit inverse of the fundamental matrix.
-
-    Hand-written entries in cos/sin; cross-checked in the test-suite against
-    the numerically inverted fundamental_matrix. t is a time or an array of
-    times, and the result has shape t.shape + (4, 4); one assembly serves
-    both, so each matrix of a batch equals the scalar call's bit for bit.
-    """
-    p = config.params
-    om = omega(p)
-    a, d = p.a, p.d
-    ad = a + d
-    cos, sin = np.cos(om * t), np.sin(om * t)
-    rows = [
-        [cos + (a / om) * sin, -(a / om) * sin, 0.0, (1 - cos + (om / a) * sin) / ad],
-        [-(d / om) * sin, cos - (a / om) * sin, 0.0, d * (cos - 1) / (a * ad)],
-        [0.0, 0.0, 1.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-    ]
-    out = np.empty(np.shape(cos) + (4, 4))
-    for i, row in enumerate(rows):
-        for j, entry in enumerate(row):
-            out[..., i, j] = entry
-    return out
+def fundamental_matrix_inverse(config: RegimeConfig, t: float) -> np.ndarray:
+    """Inverse of the fundamental matrix: Phi(t)^{-1} = Phi(-t)."""
+    return fundamental_matrix(config, -t)
 
 
 def inverse_gap(config: RegimeConfig, t: float) -> float:
-    """max|Phi(t) Phi(t)^{-1} - I|: fundamental_matrix against fundamental_matrix_inverse."""
+    """max|Phi(t) Phi(-t) - I|: fundamental_matrix against fundamental_matrix_inverse."""
     prod = fundamental_matrix(config, t) @ fundamental_matrix_inverse(config, t)
     return float(np.max(np.abs(prod - np.eye(4))))
 
@@ -143,12 +122,3 @@ def rotating_kernels(config: RegimeConfig):
 
     return field, field_and_jacobian
 
-
-def rotating_field(config: RegimeConfig, t: float, v) -> np.ndarray:
-    """eps Phi(t)^{-1} N(Phi(t) v), N = (0, -xz, xy - bz, yz + rw); zero at eps = 0."""
-    return rotating_kernels(config)[0](t, v)
-
-
-def rotating_field_and_jacobian(config: RegimeConfig, t: float, v) -> tuple[np.ndarray, np.ndarray]:
-    """rotating_field and its state Jacobian eps Phi(t)^{-1} DN(Phi(t) v) Phi(t)."""
-    return rotating_kernels(config)[1](t, v)

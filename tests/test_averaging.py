@@ -15,7 +15,7 @@ from chenhopf.averaging import (
     stability_verdict,
 )
 from chenhopf.chen import RegimeConfig, RegimeError, random_admissible_config, split_standard_form
-from chenhopf.linear_flow import flow, fundamental_matrix_inverse, period
+from chenhopf.linear_flow import flow, period
 from chenhopf.numerics import DEFAULT_FD_STEP, QuarticSpectrum, finite_difference_jacobian
 
 CANONICAL_P1 = np.array([-0.5, -1.0, -0.5, -0.5])
@@ -97,7 +97,7 @@ def _quadrature_by_loop(cfg, u, nodes):
     for k in range(nodes):
         t = T * k / nodes
         _, perturbation = split_standard_form(cfg, flow(cfg, u, t))
-        sample = fundamental_matrix_inverse(cfg, t) @ perturbation
+        sample = flow(cfg, perturbation, -t)
         acc = sample if acc is None else acc + sample
     return acc / nodes
 
@@ -106,7 +106,7 @@ def _quadrature_by_loop(cfg, u, nodes):
 def test_quadrature_is_bit_identical_to_a_per_node_loop(canonical, admissible_configs, rng, nodes):
     # the batched pass must not change a single bit, so every output that
     # reads the quadrature stays byte-reproducible; a numpy build whose cos,
-    # sin, matmul or axis-0 sum differs from the scalar route fails here
+    # sin or axis-0 sum differs from the scalar route fails here
     for cfg in [canonical] + admissible_configs:
         for u in rng.uniform(-2, 2, (5, 4)):
             batched = bifurcation_function_quadrature(cfg, u, nodes)
@@ -352,8 +352,10 @@ def test_verdict_always_inapplicable_on_admissible_draws(rng):
 
 
 def test_verdict_follows_the_proof_where_the_rounded_spectrum_underflows():
-    # b(b - 8r) = 9e-400 underflows to 0, so every rounded eigenvalue has real
-    # part -5e-201; the exact real pair is 1e-200 and -2e-200
+    # b(b - 8r) = 9e-400 would underflow to 0; sqrt|b| sqrt|b - 8r| = 3e-200 keeps
+    # the exact real pair 1e-200 and -2e-200, and the verdict names the positive one
     cfg = RegimeConfig.make(a=-1.0, b=1e-200, d=2.0, r=-1e-200)
-    assert all(v.real < 0 for v in averaged_spectrum(cfg).values)
+    values = averaged_spectrum(cfg).values
+    assert values[0] == 1e-200 and values[3] == -2e-200
     assert not stability_verdict(cfg).theorem_applicable
+    assert "1e-200" in stability_verdict(cfg).note

@@ -12,7 +12,7 @@ from chenhopf.integrators import (
     integrate,
     integrate_with_variational,
 )
-from chenhopf.linear_flow import flow, fundamental_matrix, period, rotating_field, rotating_field_and_jacobian
+from chenhopf.linear_flow import flow, fundamental_matrix, period, rotating_kernels
 from chenhopf.numerics import finite_difference_jacobian, newton_solve, periodic_trapezoid
 from chenhopf.orbits import branch_study, shoot
 
@@ -199,19 +199,20 @@ def test_rotating_frame_field_evaluation_counts(eps, plain_evals, variational_ev
     # takes the plain run's steps
     cfg = canonical_config(eps)
     u0 = averaged_zeros(cfg)[0].point
+    field, field_and_jacobian = rotating_kernels(cfg)
     calls = 0
 
     def counted(call):
         def wrapped(t, v):
             nonlocal calls
             calls += 1
-            return call(cfg, t, v)
+            return call(t, v)
         return wrapped
 
-    integrate(counted(rotating_field), u0, 2 * np.pi)
+    integrate(counted(field), u0, 2 * np.pi)
     assert calls == plain_evals
     calls = 0
-    integrate_with_variational(counted(rotating_field_and_jacobian), u0, 2 * np.pi)
+    integrate_with_variational(counted(field_and_jacobian), u0, 2 * np.pi)
     assert calls == variational_evals
 
 
@@ -360,7 +361,7 @@ def test_variational_buffer_is_the_concatenated_augmented_field(frame):
     # the augmented field writes field and J @ W into one buffer; the same
     # products concatenated must give the same integration byte for byte
     cfg = canonical_config(0.01)
-    pair = {"rotating": lambda t, v: rotating_field_and_jacobian(cfg, t, v),
+    pair = {"rotating": rotating_kernels(cfg)[1],
             "standard_form": lambda t, s: (standard_form_field(cfg, s),
                                            standard_form_jacobian(cfg, s))}[frame]
     u = averaged_zero_points(cfg)[0]

@@ -28,8 +28,7 @@ from chenhopf.linear_flow import (
     fundamental_matrix_inverse,
     inverse_gap,
     period,
-    rotating_field,
-    rotating_field_and_jacobian,
+    rotating_kernels,
 )
 
 
@@ -77,14 +76,16 @@ def test_flow_solves_the_ode(rng):
             assert _ode_residual(cfg, u, t) < 1e-6
 
 
-def test_flow_group_property(rng):
-    cfg = canonical_config()
-    for _ in range(20):
-        u = rng.uniform(-2, 2, 4)
-        s, t = rng.uniform(0, 4, 2)
-        left = flow(cfg, flow(cfg, u, s), t)
-        right = flow(cfg, u, s + t)
-        assert np.max(np.abs(left - right)) < 1e-10
+def test_flow_group_property(admissible_configs, rng):
+    # negative times included: flow(., -t) undoes flow(., t), which the quadrature relies on
+    for cfg in [canonical_config()] + admissible_configs:
+        for _ in range(20):
+            u = rng.uniform(-2, 2, 4)
+            s, t = rng.uniform(-4, 4, 2)
+            left = flow(cfg, flow(cfg, u, s), t)
+            right = flow(cfg, u, s + t)
+            assert np.max(np.abs(left - right)) < 1e-10
+            assert np.max(np.abs(flow(cfg, flow(cfg, u, t), -t) - u)) < 1e-10
 
 
 @settings(max_examples=40, deadline=None)
@@ -186,8 +187,8 @@ def test_batched_calls_equal_the_stack_of_scalar_calls(admissible_configs, rng):
         assert flow(cfg, u, times).tobytes() == one_state.tobytes()
         pairwise = np.array([flow(cfg, s, t) for s, t in zip(states, times)])
         assert flow(cfg, states, times).tobytes() == pairwise.tobytes()
-        inverses = np.array([fundamental_matrix_inverse(cfg, t) for t in times])
-        assert fundamental_matrix_inverse(cfg, times).tobytes() == inverses.tobytes()
+        for t in times:
+            assert fundamental_matrix_inverse(cfg, t).tobytes() == fundamental_matrix(cfg, -t).tobytes()
         linear, perturbation = split_standard_form(cfg, states)
         for s, lin_row, pert_row in zip(states, linear, perturbation):
             lin, pert = split_standard_form(cfg, s)
@@ -246,23 +247,24 @@ def test_rotating_pair_matches_the_composed_standard_form(rng):
     for _ in range(200):
         cfg = random_admissible_config(rng).with_epsilon(rng.uniform(0.0, 0.1))
         t, v = rng.uniform(-10, 10), rng.uniform(-2, 2, 4)
+        field, field_and_jacobian = rotating_kernels(cfg)
         u, inv = flow(cfg, v, t), fundamental_matrix_inverse(cfg, t)
-        field = cfg.epsilon * inv @ split_standard_form(cfg, u)[1]
-        jac = inv @ (standard_form_jacobian(cfg, u)
-                     - standard_form_jacobian(cfg.with_epsilon(0.0), u)) @ fundamental_matrix(cfg, t)
-        for got, ref in ((rotating_field(cfg, t, v), field),
-                         (rotating_field_and_jacobian(cfg, t, v)[1], jac)):
+        ref_field = cfg.epsilon * inv @ split_standard_form(cfg, u)[1]
+        ref_jac = inv @ (standard_form_jacobian(cfg, u)
+                         - standard_form_jacobian(cfg.with_epsilon(0.0), u)) @ fundamental_matrix(cfg, t)
+        for got, ref in ((field(t, v), ref_field), (field_and_jacobian(t, v)[1], ref_jac)):
             assert np.max(np.abs(got - ref)) <= 1e-13 * (1 + np.max(np.abs(ref)))
 
 
 def test_rotating_field_and_jacobian_is_the_field_and_the_composed_jacobian(rng):
-    # the pair's field is rotating_field's bit for bit, and its Jacobian meets
+    # the pair's field is the plain kernel's bit for bit, and its Jacobian meets
     # the composed reference above
     for _ in range(200):
         cfg = random_admissible_config(rng).with_epsilon(rng.uniform(0.0, 0.1))
         t, v = rng.uniform(-10, 10), rng.uniform(-2, 2, 4)
-        field, jacobian = rotating_field_and_jacobian(cfg, t, v)
-        assert field.tobytes() == rotating_field(cfg, t, v).tobytes()
+        field, field_and_jacobian = rotating_kernels(cfg)
+        value, jacobian = field_and_jacobian(t, v)
+        assert value.tobytes() == field(t, v).tobytes()
         u, inv = flow(cfg, v, t), fundamental_matrix_inverse(cfg, t)
         ref = inv @ (standard_form_jacobian(cfg, u)
                      - standard_form_jacobian(cfg.with_epsilon(0.0), u)) @ fundamental_matrix(cfg, t)
@@ -270,13 +272,18 @@ def test_rotating_field_and_jacobian_is_the_field_and_the_composed_jacobian(rng)
         assert np.max(np.abs(jacobian - ref)) <= 1e-13 * (1 + np.max(np.abs(ref)))
 
 
+def _rotating_field(cfg, t, v):
+    """The plain kernel of a fresh pair."""
+    return rotating_kernels(cfg)[0](t, v)
+
+
 def _rotating_jacobian(cfg, t, v):
-    """The Jacobian half of rotating_field_and_jacobian."""
-    return rotating_field_and_jacobian(cfg, t, v)[1]
+    """The Jacobian half of a fresh pair's field_and_jacobian."""
+    return rotating_kernels(cfg)[1](t, v)[1]
 
 
 @pytest.mark.parametrize("call", [
-    pytest.param(rotating_field, id="rotating_field"),
+    pytest.param(_rotating_field, id="rotating_field"),
     pytest.param(_rotating_jacobian, id="rotating_jacobian"),
 ])
 def test_rotating_pair_is_zero_at_eps_zero_and_validates_its_input(call):
