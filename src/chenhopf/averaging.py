@@ -30,7 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chen import ChenParams, RegimeConfig, RegimeError, omega, split_standard_form
+from .chen import (
+    ChenParams,
+    RegimeConfig,
+    RegimeError,
+    check_zero_hopf_conditions,
+    omega,
+    split_standard_form,
+)
 from .linear_flow import flow, period
 from .numerics import (
     NewtonReport,
@@ -144,13 +151,12 @@ def bifurcation_function_quadrature(config: RegimeConfig, u, nodes: int = 64) ->
     T = period(config)
 
     def integrand(times: np.ndarray) -> np.ndarray:
+        # node-major (nodes, k, 4), so periodic_trapezoid adds each point's nodes in order
         with np.errstate(over="ignore", invalid="ignore"):
-            states = flow(config, u.reshape(-1, 1, 4), times)  # (k, nodes, 4)
-            k = states.shape[0]
+            states = flow(config, u.reshape(-1, 4), times[:, None])
             _, perturbation = split_standard_form(config, states.reshape(-1, 4))
-            samples = flow(config, perturbation.reshape(k, nodes, 4), -times)
-        # node-major rows, so periodic_trapezoid adds each point's nodes in order
-        return samples.reshape(k, nodes, 4).transpose(1, 0, 2).reshape(nodes, 4 * k)
+            samples = flow(config, perturbation.reshape(states.shape), -times[:, None])
+        return samples.reshape(nodes, -1)
 
     return periodic_trapezoid(integrand, T, nodes).reshape(u.shape)
 
@@ -174,12 +180,13 @@ def averaged_zero_points(config: RegimeConfig) -> tuple[np.ndarray, np.ndarray]:
     omega(config.params)  # raises RegimeError outside the elliptic regime
     p = config.params
     a, b, d, r = p.a, p.b, p.d, p.r
-    gate = b * (a + d) * r
-    if gate >= 0:
+    report = check_zero_hopf_conditions(p)
+    if not report.b_condition_holds:
         raise RegimeError(
-            f"zeros not real: b*(a+d)*r = {gate} must be negative"
+            f"zeros not real: b*(a+d)*r = {report.b_times_a_plus_d_times_r} must be negative"
         )
-    root = math.sqrt(-gate)
+    # sqrt(-b(a+d)r) factor by factor, so it is not lost where the product underflows
+    root = math.sqrt(abs(b)) * math.sqrt(abs(a + d)) * math.sqrt(abs(r))
     first = np.array([
         a * root / d,
         -root,

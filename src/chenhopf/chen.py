@@ -195,14 +195,17 @@ def check_zero_hopf_conditions(params: ChenParams) -> ConditionReport:
 
     The hypotheses are ``c == a`` exactly, ``a(a+d) < 0`` (so the origin
     carries a purely imaginary pair at epsilon = 0), ``b(a+d)r < 0`` (so the
-    averaged map has a real pair of zeros), and ``d != 0``.
+    averaged map has a real pair of zeros), and ``d != 0``. The sign of
+    ``b(a+d)r`` is the parity of its factors' signs, so the verdict holds where
+    the reported product underflows to -0.0; ``a(a+d)`` is left as a product,
+    since Omega is its square root and would underflow first.
     """
     a, b, c, d, r = params.a, params.b, params.c, params.d, params.r
     a_val = a * (a + d)
     b_val = b * (a + d) * r
     c_ok = c == a
     a_ok = a_val < 0
-    b_ok = b_val < 0
+    b_ok = b != 0 and a + d != 0 and r != 0 and (b < 0) ^ (a + d < 0) ^ (r < 0)
     d_ok = d != 0
     return ConditionReport(
         c_equals_a=c_ok,

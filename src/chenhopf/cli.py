@@ -5,20 +5,22 @@ origin spectra, averaged-function evaluation, zero location, orbit
 verification, the branch study, orbit sampling, and a cross-oracle selftest.
 
 Exit codes: 0 success, 1 hypothesis violation, 2 numerical failure,
-3 input/IO error, including an allocation failure. JSON is the machine
-interface; the default human-readable output is a formatting layer over the
-same data and never contains numbers absent from the JSON. JSON keys follow
-the field order of the library dataclasses they come from. Every JSON
-document embeds a run manifest echoing the parameters, so reruns reproduce
-all numeric fields byte for byte (the timestamp lives only inside the
-manifest).
+3 input/IO error, including a usage error and an allocation failure. Each
+kind of output has one path: every failure is one stderr line from _fail,
+every JSON document comes from _emit, and the CSV of sweep and orbit from
+_write_csv. JSON is the machine interface (orbit writes CSV only); the
+default human-readable output is a formatting layer over the same data and
+never contains numbers absent from the JSON. JSON keys follow the field
+order of the library dataclasses they come from. Every JSON document embeds
+a run manifest echoing every parsed option, so reruns reproduce all numeric
+fields byte for byte (the timestamp lives only inside the manifest).
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
-import io
 import json
 import sys
 from datetime import datetime, timezone
@@ -69,22 +71,21 @@ EXIT_INPUT = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems with exit code 3."""
+    """argparse whose usage errors are input errors, reported by main like any other."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_INPUT)
+        raise ValueError(f"{self.prog}: {message}")
 
 
-def _add_param_flags(p: _Parser, with_epsilon: bool = False) -> None:
+def _add_param_flags(p: _Parser, with_epsilon: bool = False, with_json: bool = True) -> None:
     p.add_argument("--a", type=float, default=-1.0)
     p.add_argument("--b", type=float, default=-1.0)
     p.add_argument("--c", type=float, default=None,
                    help="defaults to the value of --a")
     p.add_argument("--d", type=float, default=2.0)
     p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--json", action="store_true", help="machine-readable output")
+    if with_json:
+        p.add_argument("--json", action="store_true", help="machine-readable output")
     if with_epsilon:
         p.add_argument("--epsilon", type=float, default=0.01)
 
@@ -111,8 +112,11 @@ def _json(value):
     return value
 
 
-def _csv(header, rows) -> str:
-    """CSV text: None is an empty cell, bools are true/false, floats round-trip."""
+def _write_csv(args, header, rows, report: str | None) -> None:
+    """The CSV to --out and the report to stdout, or the CSV to stdout and the report to stderr.
+
+    None is an empty cell, bools are true/false, floats round-trip.
+    """
     def cell(value):
         if value is None:
             return ""
@@ -122,47 +126,40 @@ def _csv(header, rows) -> str:
             return repr(float(value))
         return value
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([cell(v) for v in row] for row in rows)
-    return buf.getvalue()
+    target = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
+    with target as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([cell(v) for v in row] for row in rows)
+    if report is not None:
+        print(report, file=sys.stdout if args.out else sys.stderr)
 
 
-def _manifest(args, command: str) -> dict:
-    echo = {}
-    for key in ("a", "b", "c", "d", "r", "epsilon", "epsilons", "tol", "nodes",
-                "seed", "method", "point", "branch", "samples", "frame", "out"):
-        if hasattr(args, key):
-            echo[key] = getattr(args, key)
+def _manifest(args) -> dict:
+    """The command and every parsed option but --json, in parser order."""
     return {
-        "command": command,
-        "parameters": echo,
+        "command": args.command,
+        "parameters": {k: v for k, v in vars(args).items() if k not in ("command", "json")},
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
 
 
-def _dumps(payload: dict) -> str:
-    """Strict JSON: a NaN or infinity raises ValueError (an input error) instead of printing a non-standard token."""
-    return json.dumps(payload, indent=2, allow_nan=False)
+def _document(args, payload: dict) -> str:
+    """The payload after its run manifest, as strict JSON: a NaN or infinity raises
+    ValueError (an input error) instead of printing a non-standard token."""
+    return json.dumps({"manifest": _manifest(args), **payload}, indent=2, allow_nan=False)
 
 
 def _emit(args, payload: dict, human: str) -> None:
-    if args.json:
-        print(_dumps(payload))
-    else:
-        print(human)
+    print(_document(args, payload) if args.json else human)
 
 
 # ---------------------------------------------------------------- commands
 
 def _cmd_check(args) -> int:
     report = check_zero_hopf_conditions(_params(args))
-    payload = {
-        "manifest": _manifest(args, "check"),
-        "report": _json(report),
-    }
+    payload = {"report": _json(report)}
     lines = [
         f"c == a                : {report.c_equals_a}",
         f"a*(a+d) = {report.a_times_a_plus_d:< .6g} < 0 : {report.a_condition_holds}",
@@ -182,7 +179,6 @@ def _cmd_spectrum(args) -> int:
     poly = origin_char_poly(params)
     lambda3, lambda4 = origin_quadratic_roots(params)
     payload = {
-        "manifest": _manifest(args, "spectrum"),
         "closed_form": {
             "lambda1": _json(complex(params.r)),
             "lambda2": _json(complex(-params.b)),
@@ -218,7 +214,7 @@ def _parse_point(text: str) -> np.ndarray:
 def _cmd_favg(args) -> int:
     config = _config(args)
     u = _parse_point(args.point)
-    result: dict = {"manifest": _manifest(args, "favg")}
+    result = {}
     lines = []
     closed = quad = None
     if args.method in ("closed", "both"):
@@ -250,7 +246,6 @@ def _cmd_zeros(args) -> int:
         refined_zero, report = refine_zero(config, seed, tol=args.tol)
         refined.append((refined_zero, report))
     payload = {
-        "manifest": _manifest(args, "zeros"),
         "closed_form": [_json(first), _json(second)],
         "newton_refined": [
             {**_json(z), "iterations": rep.iterations, "converged": rep.converged,
@@ -279,10 +274,7 @@ def _orbit_payload(config, orbit) -> dict:
 def _cmd_verify(args) -> int:
     config = _config(args)
     first, second = find_bifurcating_orbits(config)
-    payload = {
-        "manifest": _manifest(args, "verify"),
-        "scaled": [_orbit_payload(config, first), _orbit_payload(config, second)],
-    }
+    payload = {"scaled": [_orbit_payload(config, first), _orbit_payload(config, second)]}
     if config.epsilon > 0:
         payload["original"] = [
             _orbit_payload(config, unscale_orbit(first)),
@@ -309,23 +301,15 @@ def _parse_epsilons(text: str) -> list[float]:
 def _cmd_sweep(args) -> int:
     config = _config(args)
     study = branch_study(config, _parse_epsilons(args.epsilons))
-    text = _csv([f.name for f in dataclasses.fields(BranchRow)],
-                [dataclasses.astuple(row) for row in study.rows])
-    summary = {
-        "manifest": _manifest(args, "sweep"),
-        "slope_by_branch": {str(k): v for k, v in study.slope_by_branch.items()},
-        "total_rows": len(study.rows),
-    }
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        _emit(args, summary,
-              f"wrote {len(study.rows)} rows to {args.out}; "
-              f"slopes: {summary['slope_by_branch']}")
+    slopes = {str(k): v for k, v in study.slope_by_branch.items()}
+    if args.json:   # formatted before any CSV is written: strict JSON may refuse it
+        report = _document(args, {"slope_by_branch": slopes, "total_rows": len(study.rows)})
+    elif args.out:
+        report = f"wrote {len(study.rows)} rows to {args.out}; slopes: {slopes}"
     else:
-        report = _dumps(summary) if args.json else f"slopes: {summary['slope_by_branch']}"
-        sys.stdout.write(text)
-        print(report, file=sys.stderr)
+        report = f"slopes: {slopes}"
+    _write_csv(args, [f.name for f in dataclasses.fields(BranchRow)],
+               [dataclasses.astuple(row) for row in study.rows], report)
     return EXIT_OK
 
 
@@ -337,13 +321,9 @@ def _cmd_orbit(args) -> int:
     if args.frame == "original":
         orbit = unscale_orbit(orbit)
     traj = orbit_trajectory(config, orbit, samples=args.samples)
-    text = _csv(["t", "x", "y", "z", "w"], np.column_stack([traj.times, traj.states]).tolist())
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {args.samples} samples to {args.out}")
-    else:
-        sys.stdout.write(text)
+    _write_csv(args, ["t", "x", "y", "z", "w"],
+               np.column_stack([traj.times, traj.states]).tolist(),
+               f"wrote {args.samples} samples to {args.out}" if args.out else None)
     return EXIT_OK
 
 
@@ -367,7 +347,6 @@ def _cmd_selftest(args) -> int:
     rows = [(name, value, bound, value <= bound) for name, value, bound in _selftest_checks(args)]
     ok_all = all(ok for *_, ok in rows)
     payload = {
-        "manifest": _manifest(args, "selftest"),
         "checks": [
             {"name": n, "value": float(v), "bound": float(b), "pass": bool(ok)}
             for n, v, b, ok in rows
@@ -383,8 +362,7 @@ def _cmd_selftest(args) -> int:
     _emit(args, payload, "\n".join(lines))
     if not ok_all:
         failing = next(n for n, *_, ok in rows if not ok)
-        print(f"selftest failed: {failing}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return _fail("numerical failure", f"selftest failed: {failing}", EXIT_NUMERICAL)
     return EXIT_OK
 
 
@@ -393,7 +371,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", parents=[], help="zero-Hopf hypothesis report")
+    p = sub.add_parser("check", help="zero-Hopf hypothesis report")
     _add_param_flags(p)
 
     p = sub.add_parser("spectrum", help="origin eigenvalues, dual path")
@@ -401,9 +379,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("favg", help="evaluate the averaged (bifurcation) function")
     _add_param_flags(p)
-    p.add_argument("--point", required=True, help="x0,y0,z0,w0")
-    p.add_argument("--method", choices=["closed", "quadrature", "both"], default="both")
     p.add_argument("--nodes", type=int, default=64)
+    p.add_argument("--method", choices=["closed", "quadrature", "both"], default="both")
+    p.add_argument("--point", required=True, help="x0,y0,z0,w0")
 
     p = sub.add_parser("zeros", help="averaged zeros, Jacobian data, stability verdict")
     _add_param_flags(p)
@@ -419,7 +397,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
 
     p = sub.add_parser("orbit", help="sample one orbit over a period as CSV")
-    _add_param_flags(p, with_epsilon=True)
+    _add_param_flags(p, with_epsilon=True, with_json=False)
     p.add_argument("--branch", type=int, choices=[1, 2], default=1)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--frame", choices=["scaled", "original"], default="scaled")
@@ -445,13 +423,11 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         return _DISPATCH[args.command](args)
+    except SystemExit as exc:   # --help and --version; a usage error raises ValueError
+        return int(exc.code or 0)
     except RegimeError as exc:
         return _fail("hypothesis violation", str(exc), EXIT_HYPOTHESIS)
     except (ShootingError, IntegrationError, EigenSolveError, SingularMatrixError) as exc:
