@@ -7,13 +7,15 @@ verification, the branch study, orbit sampling, and a cross-oracle selftest.
 Exit codes: 0 success, 1 hypothesis violation, 2 numerical failure,
 3 input/IO error, including a usage error and an allocation failure. Each
 kind of output has one path: every failure is one stderr line from _fail,
-every JSON document comes from _emit, and the CSV of sweep and orbit from
-_write_csv. JSON is the machine interface (orbit writes CSV only); the
-default human-readable output is a formatting layer over the same data and
-never contains numbers absent from the JSON. JSON keys follow the field
-order of the library dataclasses they come from. Every JSON document embeds
-a run manifest echoing every parsed option, so reruns reproduce all numeric
-fields byte for byte (the timestamp lives only inside the manifest).
+every result comes from _render, and the CSV of sweep and orbit from
+_write_csv. JSON is the machine interface (orbit writes CSV only). The
+default human text is the same payload, one `path: value` line per leaf
+(report.overall: true, closed_form[0].det_jacobian: -0.625); _render builds
+the JSON document in both formats, so the exit code and stderr do not
+depend on --json. JSON keys follow the field order of the library
+dataclasses they come from. Every JSON document embeds a run manifest
+echoing every parsed option, so reruns reproduce all numeric fields byte
+for byte (the timestamp lives only inside the manifest).
 """
 from __future__ import annotations
 
@@ -151,23 +153,32 @@ def _document(args, payload: dict) -> str:
     return json.dumps({"manifest": _manifest(args), **payload}, indent=2, allow_nan=False)
 
 
-def _emit(args, payload: dict, human: str) -> None:
-    print(_document(args, payload) if args.json else human)
+def _text(value, path: str = "") -> list[str]:
+    """The payload as `path: value` lines in payload order: a dict extends the path by
+    `.key`, a list of dicts or lists by `[i]`, and any other value is one JSON line."""
+    if isinstance(value, dict):
+        return [line for k, v in value.items() for line in _text(v, f"{path}.{k}" if path else k)]
+    if isinstance(value, list) and any(isinstance(v, (dict, list)) for v in value):
+        return [line for i, v in enumerate(value) for line in _text(v, f"{path}[{i}]")]
+    return [f"{path}: {json.dumps(value)}"]
+
+
+def _render(args, payload: dict) -> str:
+    """The JSON document under --json, else the payload's _text lines. The document is
+    built either way, so strict JSON decides the exit code in both formats."""
+    document = _document(args, payload)
+    return document if args.json else "\n".join(_text(payload))
+
+
+def _emit(args, payload: dict) -> None:
+    print(_render(args, payload))
 
 
 # ---------------------------------------------------------------- commands
 
 def _cmd_check(args) -> int:
     report = check_zero_hopf_conditions(_params(args))
-    payload = {"report": _json(report)}
-    lines = [
-        f"c == a                : {report.c_equals_a}",
-        f"a*(a+d) = {report.a_times_a_plus_d:< .6g} < 0 : {report.a_condition_holds}",
-        f"b*(a+d)*r = {report.b_times_a_plus_d_times_r:< .6g} < 0 : {report.b_condition_holds}",
-        f"d != 0                : {report.d_nonzero}",
-        f"overall               : {report.overall}",
-    ]
-    _emit(args, payload, "\n".join(lines))
+    _emit(args, {"report": _json(report)})
     return EXIT_OK if report.overall else EXIT_HYPOTHESIS
 
 
@@ -190,12 +201,7 @@ def _cmd_spectrum(args) -> int:
         "max_deviation": deviation,
         "char_poly_descending": _json(poly),
     }
-    lines = ["origin spectrum (closed form | numeric):"]
-    for cv, nv in zip(closed.values, numeric.values):
-        lines.append(f"  {cv:>24.12g}   |   {nv:>24.12g}")
-    lines.append(f"max deviation: {deviation:.3e}")
-    lines.append("char poly (descending): " + ", ".join(f"{c:.12g}" for c in poly))
-    _emit(args, payload, "\n".join(lines))
+    _emit(args, payload)
     return EXIT_OK
 
 
@@ -215,21 +221,15 @@ def _cmd_favg(args) -> int:
     config = _config(args)
     u = _parse_point(args.point)
     result = {}
-    lines = []
-    closed = quad = None
     if args.method in ("closed", "both"):
         closed = bifurcation_function(config, u)
         result["closed"] = {f"f{i+1}": float(v) for i, v in enumerate(closed)}
-        lines.append("closed    : " + np.array2string(closed, precision=15))
     if args.method in ("quadrature", "both"):
         quad = bifurcation_function_quadrature(config, u, nodes=args.nodes)
         result["quadrature"] = {f"f{i+1}": float(v) for i, v in enumerate(quad)}
-        lines.append("quadrature: " + np.array2string(quad, precision=15))
     if args.method == "both":
-        disc = float(np.max(np.abs(closed - quad)))
-        result["discrepancy"] = disc
-        lines.append(f"discrepancy: {disc:.3e}")
-    _emit(args, result, "\n".join(lines))
+        result["discrepancy"] = float(np.max(np.abs(closed - quad)))
+    _emit(args, result)
     return EXIT_OK
 
 
@@ -256,14 +256,7 @@ def _cmd_zeros(args) -> int:
         "spectrum_closed_form": _json(first.spectrum),
         "verdict": _json(verdict),
     }
-    lines = []
-    for tag, zero in (("first", first), ("second", second)):
-        lines.append(f"{tag} zero : {np.array2string(zero.point, precision=12)} "
-                     f"(residual {zero.residual:.2e}, simple={zero.simple})")
-    lines.append(f"det Df     : {first.det_jacobian:.12g}")
-    lines.append("spectrum   : " + ", ".join(f"{v:.6g}" for v in first.spectrum.values))
-    lines.append(f"stability  : applicable={verdict.theorem_applicable} ({verdict.note})")
-    _emit(args, payload, "\n".join(lines))
+    _emit(args, payload)
     return EXIT_OK
 
 
@@ -280,14 +273,7 @@ def _cmd_verify(args) -> int:
             _orbit_payload(config, unscale_orbit(first)),
             _orbit_payload(config, unscale_orbit(second)),
         ]
-    lines = []
-    for orbit in (first, second):
-        lines.append(
-            f"branch {orbit.branch}: u* = {np.array2string(orbit.initial_state, precision=10)} "
-            f"T* = {orbit.period:.10g} residual = {orbit.residual:.2e}"
-        )
-        lines.append("  multipliers: " + ", ".join(f"{v:.8g}" for v in orbit.multipliers.values))
-    _emit(args, payload, "\n".join(lines))
+    _emit(args, payload)
     return EXIT_OK
 
 
@@ -302,12 +288,8 @@ def _cmd_sweep(args) -> int:
     config = _config(args)
     study = branch_study(config, _parse_epsilons(args.epsilons))
     slopes = {str(k): v for k, v in study.slope_by_branch.items()}
-    if args.json:   # formatted before any CSV is written: strict JSON may refuse it
-        report = _document(args, {"slope_by_branch": slopes, "total_rows": len(study.rows)})
-    elif args.out:
-        report = f"wrote {len(study.rows)} rows to {args.out}; slopes: {slopes}"
-    else:
-        report = f"slopes: {slopes}"
+    # rendered before any CSV is written: strict JSON may refuse it
+    report = _render(args, {"slope_by_branch": slopes, "total_rows": len(study.rows)})
     _write_csv(args, [f.name for f in dataclasses.fields(BranchRow)],
                [dataclasses.astuple(row) for row in study.rows], report)
     return EXIT_OK
@@ -344,25 +326,12 @@ def _selftest_checks(args):
 
 
 def _cmd_selftest(args) -> int:
-    rows = [(name, value, bound, value <= bound) for name, value, bound in _selftest_checks(args)]
-    ok_all = all(ok for *_, ok in rows)
-    payload = {
-        "checks": [
-            {"name": n, "value": float(v), "bound": float(b), "pass": bool(ok)}
-            for n, v, b, ok in rows
-        ],
-        "pass": bool(ok_all),
-    }
-    width = max(len(n) for n, *_ in rows)
-    lines = [
-        f"{n:<{width}}  {v:9.3e} <= {b:8.1e}  {'PASS' if ok else 'FAIL'}"
-        for n, v, b, ok in rows
-    ]
-    lines.append("overall: " + ("PASS" if ok_all else "FAIL"))
-    _emit(args, payload, "\n".join(lines))
-    if not ok_all:
-        failing = next(n for n, *_, ok in rows if not ok)
-        return _fail("numerical failure", f"selftest failed: {failing}", EXIT_NUMERICAL)
+    checks = [{"name": n, "value": float(v), "bound": float(b), "pass": bool(v <= b)}
+              for n, v, b in _selftest_checks(args)]
+    _emit(args, {"checks": checks, "pass": all(c["pass"] for c in checks)})
+    failing = [c["name"] for c in checks if not c["pass"]]
+    if failing:
+        return _fail("numerical failure", f"selftest failed: {failing[0]}", EXIT_NUMERICAL)
     return EXIT_OK
 
 

@@ -503,6 +503,60 @@ def test_generated_argv_keeps_the_exit_code_contract(case):
         assert len(lines) == 1 and lines[0].startswith(_PREFIX[code]), lines
 
 
+@pytest.mark.parametrize("argv, code", [
+    # a(a+d) overflows to -inf: human text exited 0 while --json exited 3
+    (["check", "--a=-1e200", "--d=3e200"], 3),
+    # b(a+d)r overflows to -inf: the verdict's exit 1 against --json's 3
+    (["check", "--b=-1e200", "--d=-0", "--r=-1e200"], 3),
+    # a(a+d) overflows to +inf
+    (["check", "--a=3e200", "--b=1e200"], 3),
+    (["spectrum", "--a", "1e154", "--d", "0"], 3),
+    (["favg", "--point", "1e200,0,0,0", "--method", "quadrature"], 3),
+    (["verify", "--epsilon", "0.01"], 2),
+    (["zeros"], 0),
+], ids=["check-a-overflow", "check-bdr-overflow", "check-a-overflow-positive",
+        "spectrum-discriminant", "favg-quadrature-overflow", "verify-refusal", "zeros"])
+def test_exit_code_and_stderr_do_not_depend_on_json(capsys, argv, code):
+    human_code, _, human_err = run(capsys, *argv)
+    json_code, _, json_err = run(capsys, *argv, "--json")
+    assert human_code == json_code == code
+    assert human_err == json_err
+    assert len(human_err.splitlines()) == (1 if code else 0), human_err
+    if argv[0] == "check":
+        assert human_err.startswith("input error: Out of range float values are not JSON compliant: ")
+
+
+def _leaves(doc, path=""):
+    """(path, value) for each leaf of a JSON document, in document order."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(doc, list) and doc and isinstance(doc[0], (dict, list)):
+        for i, item in enumerate(doc):
+            yield from _leaves(item, f"{path}[{i}]")
+    else:
+        yield path, doc
+
+
+@pytest.mark.parametrize("argv", [
+    ["check"], ["spectrum"], ["favg", "--point", "0,0,1,0"], ["zeros"],
+    ["verify", "--epsilon", "0"], ["selftest"],
+    ["sweep", "--epsilons", "0.005,0.01", "--out", "{tmp}/sweep.csv"],
+], ids=["check", "spectrum", "favg", "zeros", "verify", "selftest", "sweep"])
+def test_human_text_is_the_json_payload(capsys, tmp_path, argv):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    lines = []
+    for line in out.splitlines():
+        path, sep, value = line.partition(": ")
+        assert sep and path, line
+        lines.append((path, json.loads(value)))
+    _, payload, _ = run_json(capsys, *argv)
+    del payload["manifest"]
+    assert lines == list(_leaves(payload))
+
+
 # ------------------------------------------------------------ selftest
 
 def test_selftest_passes_quickly(capsys):
@@ -552,6 +606,17 @@ def test_selftest_fails_when_one_route_is_perturbed(capsys, monkeypatch, module,
     row = next(row for row in payload["checks"] if row["name"] == check)
     assert row["value"] > row["bound"] and row["pass"] is False
     assert err == f"numerical failure: selftest failed: {check}\n"
+
+
+def test_selftest_failure_shows_in_the_human_text(capsys, monkeypatch):
+    real = averaging.bifurcation_function_quadrature
+    monkeypatch.setattr(averaging, "bifurcation_function_quadrature", _shifted(real, 1e-6))
+    code, out, err = run(capsys, "selftest")
+    assert code == 2
+    assert err == "numerical failure: selftest failed: averaged function: closed vs quadrature\n"
+    lines = out.splitlines()
+    assert lines[0] == 'checks[0].name: "averaged function: closed vs quadrature"'
+    assert lines[3] == "checks[0].pass: false" and lines[-1] == "pass: false"
 
 
 # ------------------------------------------------------------ reproducibility
