@@ -12,6 +12,11 @@ the perturbation there and pulls it back with the flow itself, since
 Phi(t)^{-1} = Phi(-t). The test-suite treats their agreement as the module's
 central correctness evidence; neither path reuses the other's algebra.
 
+The quadrature reads the basis flows Phi(+-t_k) e_m at its nodes from
+_node_rotations, cached per (config, nodes). One entry is enough: a Newton
+solve and its Jacobians call the quadrature many times on one config, and
+callers do not come back to an older config.
+
 The hypotheses alone prove the closed-form zeros simple and the stability
 clause inapplicable (averaged_zeros, stability_verdict); SIMPLICITY_RTOL and
 the finite-difference diagnostics serve refine_zero, which jacobian_gaps reads.
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,9 +40,9 @@ from .chen import (
     ChenParams,
     RegimeConfig,
     RegimeError,
+    _nonlinear,
     check_zero_hopf_conditions,
     omega,
-    split_standard_form,
 )
 from .linear_flow import flow, period
 from .numerics import (
@@ -132,30 +138,50 @@ def _closed_form(p: ChenParams, u: list[float]) -> list[float]:
     return [f1, f2, f3, f4]
 
 
+@lru_cache(maxsize=1)
+def _node_rotations(config: RegimeConfig, nodes: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """T and the read-only basis flows (nodes, 4, 4) at +t and -t: row m of entry k is Phi(+-t_k) e_m."""
+    T = period(config)
+    times = T * np.arange(nodes) / nodes   # periodic_trapezoid's expression, so the same doubles
+    with np.errstate(over="ignore", invalid="ignore"):
+        forward, backward = flow(config, np.eye(4), times[:, None]), flow(config, np.eye(4), -times[:, None])
+    forward.flags.writeable = backward.flags.writeable = False
+    return T, forward, backward
+
+
 def bifurcation_function_quadrature(config: RegimeConfig, u, nodes: int = 64) -> np.ndarray:
     """Bifurcation function by direct quadrature of its defining average.
 
-    The sample at node t is flow(N(flow(u, t)), -t): the closed-form flow
-    carries u forward, the perturbation column is taken there, and the flow
-    at -t is Phi(t)^{-1}; shares no algebra with the closed form. The
-    integrand is a trigonometric polynomial with at most 3 harmonics, so any
-    nodes >= 8 is exact to roundoff. u is one point (4,) or a stack (k, 4)
+    The sample at node t is Phi(-t) N(Phi(t) u), built from the basis flows
+    F_m = Phi(t) e_m and B_m = Phi(-t) e_m = Phi(t)^{-1} e_m that
+    _node_rotations caches: the state u0 F0 + u1 F1 + u2 F2 + u3 F3, the three
+    components n1, n2, n3 of chen._nonlinear there (N_x = 0), and the
+    pull-back n1 B1 + n2 B2 + n3 B3; shares no algebra with the closed form.
+    The integrand is a trigonometric polynomial with at most 3 harmonics, so
+    any nodes >= 8 is exact to roundoff. u is one point (4,) or a stack (k, 4)
     of points, and the result has u's shape. All nodes of all points go
-    through each building block in one batched call, and each row equals a
-    per-node loop over their scalar calls bit for bit. An overflow is a
-    non-finite sample, which periodic_trapezoid reports as a ValueError.
+    through one pass of elementwise products summed left to right (a stacked
+    matmul can differ from single ones in the last bit), so each row equals a
+    per-node scalar loop bit for bit. An overflow is a non-finite sample,
+    which periodic_trapezoid reports as a ValueError.
     """
     if nodes < 8:
         raise ValueError(f"need at least 8 quadrature nodes, got {nodes}")
     u = _points(u)
-    T = period(config)
+    T, forward, backward = _node_rotations(config, nodes)
+    b, r = config.params.b, config.params.r
+    # (k, 1) coordinates against (nodes, 1, 4) rotations: node-major (nodes, k, 4),
+    # so periodic_trapezoid adds each point's nodes in order
+    u0, u1, u2, u3 = (u.reshape(-1, 4)[:, m, None] for m in range(4))
+    F0, F1, F2, F3 = (forward[:, None, m] for m in range(4))
+    B1, B2, B3 = (backward[:, None, m] for m in range(1, 4))
 
     def integrand(times: np.ndarray) -> np.ndarray:
-        # node-major (nodes, k, 4), so periodic_trapezoid adds each point's nodes in order
+        # times equals the rotations' node times, double for double
         with np.errstate(over="ignore", invalid="ignore"):
-            states = flow(config, u.reshape(-1, 4), times[:, None])
-            _, perturbation = split_standard_form(config, states.reshape(-1, 4))
-            samples = flow(config, perturbation.reshape(states.shape), -times[:, None])
+            states = u0 * F0 + u1 * F1 + u2 * F2 + u3 * F3
+            n1, n2, n3 = _nonlinear(b, r, *(states[..., m, None] for m in range(4)))
+            samples = n1 * B1 + n2 * B2 + n3 * B3
         return samples.reshape(nodes, -1)
 
     return periodic_trapezoid(integrand, T, nodes).reshape(u.shape)

@@ -10,8 +10,9 @@ Two parameterizations of the same model appear here:
   nonlinear part ``N`` carries every remaining term.
 
 Each formula has one body: ``_linear`` (L, with ``c`` free, so the full field is
-L + N), ``_nonlinear`` (N, which linear_flow's rotating field reads too) and
-``_jacobian`` (L + eps DN). Every field and Jacobian here reads them.
+L + N), ``_nonlinear`` (N, which linear_flow's rotating field and averaging's
+quadrature read too) and ``_jacobian`` (L + eps DN). Every field and Jacobian
+here reads them.
 
 The origin is an equilibrium for every parameter choice; it is a zero-Hopf
 equilibrium (two zero eigenvalues plus a purely imaginary pair) exactly in

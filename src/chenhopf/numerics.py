@@ -133,7 +133,9 @@ def periodic_trapezoid(
     The integrand is called once, on the array of node times
     ``period * k / nodes`` (k = 0, ..., nodes - 1), and returns an
     (nodes, m) array whose row k is the sample at node k. The rows are summed
-    in node order, as a running sum over the nodes would add them.
+    in node order, as a running sum over the nodes would add them. A
+    non-finite sample is a ValueError that names the first such entry: its
+    value, column, node and time.
     """
     if not period > 0:
         raise ValueError(f"period must be positive, got {period}")
@@ -145,12 +147,12 @@ def periodic_trapezoid(
     samples = np.asarray(integrand(times), dtype=float, order="C")
     if samples.ndim != 2 or samples.shape[0] != nodes:
         raise ValueError(f"integrand must return shape ({nodes}, m), got {samples.shape}")
-    finite = np.isfinite(samples).all(axis=1)
+    finite = np.isfinite(samples)
     if not finite.all():
-        k = int(np.argmin(finite))
-        raise ValueError(
-            f"integrand returned non-finite value {samples[k]!r} at node {k} (t={float(times[k])!r})"
-        )
+        # the first bad entry in node order, not the whole row, so the message stays one short line
+        k, j = divmod(int(np.argmin(finite)), samples.shape[1])
+        raise ValueError(f"integrand returned non-finite value {float(samples[k, j])!r} in column {j} "
+                         f"at node {k} (t={float(times[k])!r})")
     return np.add.reduce(samples, axis=0) / nodes
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chenhopf import averaging
+from chenhopf import averaging, chen
 from chenhopf.averaging import (
     averaged_spectrum,
     averaged_zero_points,
@@ -14,7 +14,7 @@ from chenhopf.averaging import (
     refine_zero,
     stability_verdict,
 )
-from chenhopf.chen import RegimeConfig, RegimeError, random_admissible_config, split_standard_form
+from chenhopf.chen import RegimeConfig, RegimeError, random_admissible_config
 from chenhopf.linear_flow import flow, period
 from chenhopf.numerics import DEFAULT_FD_STEP, QuarticSpectrum, finite_difference_jacobian
 
@@ -91,13 +91,21 @@ def test_both_routes_reject_an_overflowing_point(canonical, route):
 
 
 def _quadrature_by_loop(cfg, u, nodes):
-    """The quadrature as a per-node loop of scalar building-block calls with a running sum."""
+    """The quadrature as a per-node loop of scalar building blocks with a running sum.
+
+    At each node the basis flows' rows F_m = Phi(t) e_m and B_m = Phi(-t) e_m
+    carry u forward and pull N back: Phi(-t) N = n1 B1 + n2 B2 + n3 B3, as N_x = 0.
+    """
     T = period(cfg)
+    b, r = cfg.params.b, cfg.params.r
+    u0, u1, u2, u3 = u
     acc = None
     for k in range(nodes):
         t = T * k / nodes
-        _, perturbation = split_standard_form(cfg, flow(cfg, u, t))
-        sample = flow(cfg, perturbation, -t)
+        F, B = flow(cfg, np.eye(4), t), flow(cfg, np.eye(4), -t)
+        x, y, z, w = u0 * F[0] + u1 * F[1] + u2 * F[2] + u3 * F[3]
+        n1, n2, n3 = chen._nonlinear(b, r, x, y, z, w)
+        sample = n1 * B[1] + n2 * B[2] + n3 * B[3]
         acc = sample if acc is None else acc + sample
     return acc / nodes
 
@@ -111,6 +119,47 @@ def test_quadrature_is_bit_identical_to_a_per_node_loop(canonical, admissible_co
         for u in rng.uniform(-2, 2, (5, 4)):
             batched = bifurcation_function_quadrature(cfg, u, nodes)
             assert batched.tobytes() == _quadrature_by_loop(cfg, u, nodes).tobytes()
+
+
+def test_quadrature_builds_the_node_rotations_once_per_config(canonical, monkeypatch, rng):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2].shape)
+        return flow(*args)
+
+    monkeypatch.setattr(averaging, "flow", counted)
+    averaging._node_rotations.cache_clear()
+    points = rng.uniform(-2, 2, (5, 4))
+    for u in points.tolist() * 2:
+        bifurcation_function_quadrature(canonical, u)
+    assert calls == [(64, 1), (64, 1)]   # one forward and one backward basis flow, then cache hits
+    other_a = RegimeConfig.make(a=-1.5, b=-1.0, d=2.0, r=1.0)
+    other_d = RegimeConfig.make(a=-1.0, b=-1.0, d=3.0, r=1.0)
+    for cfg, nodes in [(other_a, 64), (other_d, 64), (canonical, 17)]:
+        bifurcation_function_quadrature(cfg, points[0], nodes)
+    assert len(calls) == 8
+
+    # interleaved keys evict each other, and every result equals a cold one
+    keys = [(canonical, 64), (other_a, 9), (canonical, 9), (other_a, 64)] * 2
+    warm = [bifurcation_function_quadrature(cfg, points, nodes) for cfg, nodes in keys]
+    for (cfg, nodes), value in zip(keys, warm):
+        averaging._node_rotations.cache_clear()
+        assert value.tobytes() == bifurcation_function_quadrature(cfg, points, nodes).tobytes()
+
+    _, forward, backward = averaging._node_rotations(canonical, 64)
+    for cached in (forward, backward):
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0, 0, 0] = 1.0
+
+
+def test_overflowing_quadrature_stack_is_refused_in_one_short_line(canonical):
+    # the stack's first non-finite sample entry is named, not its 200-entry node row
+    with pytest.raises(ValueError) as info:
+        bifurcation_function_quadrature(canonical, np.full((50, 4), 1e200))
+    message = str(info.value)
+    assert "\n" not in message and len(message.encode()) < 300, message
+    assert message.endswith("in column 0 at node 0 (t=0.0)"), message
 
 
 # x0 = -1.3275170599102342 squares one bit apart as x * x (numpy's array **2) and as pow
