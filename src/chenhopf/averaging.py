@@ -12,10 +12,15 @@ the perturbation there and pulls it back with the flow itself, since
 Phi(t)^{-1} = Phi(-t). The test-suite treats their agreement as the module's
 central correctness evidence; neither path reuses the other's algebra.
 
-The quadrature reads the basis flows Phi(+-t_k) e_m at its nodes from
-_node_rotations, cached per (config, nodes). One entry is enough: a Newton
-solve and its Jacobians call the quadrature many times on one config, and
-callers do not come back to an older config.
+The quadrature samples QUADRATURE_NODES = 8 nodes by default. That is exact:
+Phi(t) = exp(tL) has harmonics of order at most 1 in Omega and N is
+quadratic, so the integrand is a trigonometric polynomial with at most 3
+harmonics, which the periodic trapezoid rule integrates exactly at any n >= 4
+nodes; 8 keeps a factor-2 margin. It reads the row views of the basis flows
+Phi(+-t_k) e_m at its nodes from _node_rotations, cached per (config, nodes),
+so no call splits them. One entry is enough: a Newton solve and its Jacobians
+call the quadrature many times on one config, and callers do not come back to
+an older config.
 
 The hypotheses alone prove the closed-form zeros simple and the stability
 clause inapplicable (averaged_zeros, stability_verdict); SIMPLICITY_RTOL and
@@ -58,6 +63,10 @@ from .numerics import (
 #: refine_zero calls a located zero "simple" when |det Df| of its
 #: finite-difference Jacobian exceeds this times max(1, |Df|_inf^4)
 SIMPLICITY_RTOL = 1e-10
+
+#: default and minimum node count of bifurcation_function_quadrature, exact
+#: with a factor-2 margin (module docstring)
+QUADRATURE_NODES = 8
 
 #: finite-difference step for numeric diagnostics of the averaged map; the map is
 #: quadratic, so central differences are exact and a large step only
@@ -139,42 +148,46 @@ def _closed_form(p: ChenParams, u: list[float]) -> list[float]:
 
 
 @lru_cache(maxsize=1)
-def _node_rotations(config: RegimeConfig, nodes: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """T and the read-only basis flows (nodes, 4, 4) at +t and -t: row m of entry k is Phi(+-t_k) e_m."""
+def _node_rotations(
+    config: RegimeConfig, nodes: int
+) -> tuple[float, tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """T and the read-only row views (nodes, 1, 4) F0..F3 = Phi(+t_k) e_m and B1..B3 = Phi(-t_k) e_m."""
     T = period(config)
     times = T * np.arange(nodes) / nodes   # periodic_trapezoid's expression, so the same doubles
     with np.errstate(over="ignore", invalid="ignore"):
         forward, backward = flow(config, np.eye(4), times[:, None]), flow(config, np.eye(4), -times[:, None])
-    forward.flags.writeable = backward.flags.writeable = False
-    return T, forward, backward
+    forward.flags.writeable = backward.flags.writeable = False   # and so every view of them
+    return T, tuple(forward[:, None, m] for m in range(4)), tuple(backward[:, None, m] for m in range(1, 4))
 
 
-def bifurcation_function_quadrature(config: RegimeConfig, u, nodes: int = 64) -> np.ndarray:
+def bifurcation_function_quadrature(config: RegimeConfig, u, nodes: int = QUADRATURE_NODES) -> np.ndarray:
     """Bifurcation function by direct quadrature of its defining average.
 
     The sample at node t is Phi(-t) N(Phi(t) u), built from the basis flows
-    F_m = Phi(t) e_m and B_m = Phi(-t) e_m = Phi(t)^{-1} e_m that
+    F_m = Phi(t) e_m and B_m = Phi(-t) e_m = Phi(t)^{-1} e_m, whose row views
     _node_rotations caches: the state u0 F0 + u1 F1 + u2 F2 + u3 F3, the three
     components n1, n2, n3 of chen._nonlinear there (N_x = 0), and the
     pull-back n1 B1 + n2 B2 + n3 B3; shares no algebra with the closed form.
-    The integrand is a trigonometric polynomial with at most 3 harmonics, so
-    any nodes >= 8 is exact to roundoff. u is one point (4,) or a stack (k, 4)
-    of points, and the result has u's shape. All nodes of all points go
-    through one pass of elementwise products summed left to right (a stacked
-    matmul can differ from single ones in the last bit), so each row equals a
-    per-node scalar loop bit for bit. An overflow is a non-finite sample,
-    which periodic_trapezoid reports as a ValueError.
+    Phi(t) has the single harmonic Omega and N is quadratic, so the integrand
+    is a trigonometric polynomial with at most 3 harmonics, and the periodic
+    trapezoid rule is exact to roundoff at any nodes >= 4; the default
+    QUADRATURE_NODES = 8 keeps a factor-2 margin, and is also the minimum.
+    u is one point (4,) or a stack (k, 4) of points, and the result has u's
+    shape. All nodes of all points go through one pass of elementwise products
+    summed left to right (a stacked matmul can differ from single ones in the
+    last bit), so each row equals a per-node scalar loop bit for bit. An
+    overflow is a non-finite sample, which periodic_trapezoid reports as a
+    ValueError.
     """
-    if nodes < 8:
-        raise ValueError(f"need at least 8 quadrature nodes, got {nodes}")
+    if nodes < QUADRATURE_NODES:
+        raise ValueError(f"need at least {QUADRATURE_NODES} quadrature nodes, got {nodes}")
     u = _points(u)
-    T, forward, backward = _node_rotations(config, nodes)
+    T, (F0, F1, F2, F3), (B1, B2, B3) = _node_rotations(config, nodes)
     b, r = config.params.b, config.params.r
     # (k, 1) coordinates against (nodes, 1, 4) rotations: node-major (nodes, k, 4),
     # so periodic_trapezoid adds each point's nodes in order
-    u0, u1, u2, u3 = (u.reshape(-1, 4)[:, m, None] for m in range(4))
-    F0, F1, F2, F3 = (forward[:, None, m] for m in range(4))
-    B1, B2, B3 = (backward[:, None, m] for m in range(1, 4))
+    rows = u.reshape(-1, 4)
+    u0, u1, u2, u3 = (rows[:, m, None] for m in range(4))
 
     def integrand(times: np.ndarray) -> np.ndarray:
         # times equals the rotations' node times, double for double

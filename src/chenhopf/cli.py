@@ -31,6 +31,7 @@ import numpy as np
 
 from . import __version__
 from .averaging import (
+    QUADRATURE_NODES,
     averaged_zeros,
     bifurcation_function,
     bifurcation_function_quadrature,
@@ -348,7 +349,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("favg", help="evaluate the averaged (bifurcation) function")
     _add_param_flags(p)
-    p.add_argument("--nodes", type=int, default=64)
+    p.add_argument("--nodes", type=int, default=QUADRATURE_NODES)
     p.add_argument("--method", choices=["closed", "quadrature", "both"], default="both")
     p.add_argument("--point", required=True, help="x0,y0,z0,w0")
 

@@ -56,14 +56,16 @@ def test_closed_form_matches_quadrature_everywhere(canonical, admissible_configs
         assert quadrature_gap(cfg, rng.uniform(-2, 2, (50, 4))) <= 1e-10
 
 
-def test_quadrature_node_count_plateau(canonical, rng):
-    for _ in range(10):
-        u = rng.uniform(-2, 2, 4)
-        d = np.max(np.abs(
-            bifurcation_function_quadrature(canonical, u, nodes=8)
-            - bifurcation_function_quadrature(canonical, u, nodes=64)
-        ))
-        assert d < 1e-11
+def test_quadrature_node_count_plateau(canonical, admissible_configs, rng):
+    # the integrand has at most 3 harmonics, so the default, 9 and 17 nodes agree with 64;
+    # the admissible draws have Omega != 1, so their node times are not multiples of pi/32
+    for cfg in [canonical] + admissible_configs:
+        for u in rng.uniform(-2, 2, (10, 4)):
+            reference = bifurcation_function_quadrature(cfg, u, nodes=64)
+            for value in (bifurcation_function_quadrature(cfg, u),
+                          bifurcation_function_quadrature(cfg, u, nodes=9),
+                          bifurcation_function_quadrature(cfg, u, nodes=17)):
+                assert np.max(np.abs(value - reference)) < 1e-11
 
 
 def test_quadrature_rejects_few_nodes(canonical):
@@ -133,7 +135,8 @@ def test_quadrature_builds_the_node_rotations_once_per_config(canonical, monkeyp
     points = rng.uniform(-2, 2, (5, 4))
     for u in points.tolist() * 2:
         bifurcation_function_quadrature(canonical, u)
-    assert calls == [(64, 1), (64, 1)]   # one forward and one backward basis flow, then cache hits
+    # one forward and one backward basis flow, then cache hits
+    assert calls == [(averaging.QUADRATURE_NODES, 1)] * 2
     other_a = RegimeConfig.make(a=-1.5, b=-1.0, d=2.0, r=1.0)
     other_d = RegimeConfig.make(a=-1.0, b=-1.0, d=3.0, r=1.0)
     for cfg, nodes in [(other_a, 64), (other_d, 64), (canonical, 17)]:
@@ -148,7 +151,7 @@ def test_quadrature_builds_the_node_rotations_once_per_config(canonical, monkeyp
         assert value.tobytes() == bifurcation_function_quadrature(cfg, points, nodes).tobytes()
 
     _, forward, backward = averaging._node_rotations(canonical, 64)
-    for cached in (forward, backward):
+    for cached in forward + backward:
         with pytest.raises(ValueError, match="read-only"):
             cached[0, 0, 0] = 1.0
 

@@ -130,6 +130,16 @@ def test_favg_nonfinite_point_exits_3(capsys, point, method):
     assert "finite" in err
 
 
+def test_favg_default_nodes_are_the_library_default(capsys):
+    argv = ("favg", "--point", "1,2,3,4", "--method", "quadrature")
+    code, default, _ = run_json(capsys, *argv)
+    assert code == 0
+    assert default["manifest"]["parameters"]["nodes"] == averaging.QUADRATURE_NODES
+    code, explicit, _ = run_json(capsys, *argv, "--nodes", "8")
+    assert code == 0
+    assert json.dumps(default["quadrature"]) == json.dumps(explicit["quadrature"])
+
+
 def test_favg_inadmissible_regime_exits_1(capsys):
     # hyperbolic parameters: a(a+d) > 0
     code, _, err = run(capsys, "favg", "--a", "1", "--d", "1", "--point", "0,0,1,0")
