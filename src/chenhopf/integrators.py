@@ -14,9 +14,9 @@ step's samples in one product.
 
 Which guard runs where:
 
-* before the first step: t_end and the initial state are validated
-  (ValueError), and the field at t = 0 must be finite ("non_finite"; it
-  may exceed BLOWUP_NORM where the state is small);
+* before the first step: t_end, the initial state and the shape of the
+  field's value at t = 0 are validated (ValueError); that value must be
+  finite ("non_finite"; it may exceed BLOWUP_NORM where the state is small);
 * each stage: the fields reject a non-finite state (chen._state raises
   ValueError); if the stage state overflowed, that is "non_finite";
 * each step attempt: the max-norms of the proposed state and error
@@ -28,16 +28,19 @@ Which guard runs where:
   already computed, since finiteness was checked before acceptance;
 * the loop as a whole: at most MAX_STEPS step attempts ("max_steps").
 
-Fields are called as field(t, y), stage i at t + _C[i] * h. The stepper
-copies every field value into its stage row, so a field may return one
-buffer that it rewrites on each call (integrate_with_variational does).
+Fields are called as field(t, y), stage i at t + _C[i] * h, and may return
+any length-n sequence of floats for an n-vector state (its shape is checked
+once, at t = 0). The stepper copies every value into its stage row, so a
+field may also return one buffer that it rewrites on each call
+(integrate_with_variational does).
 Every IntegrationError carries the last good time and state, from before
 the failing step. These guards report overflow, so numpy's overflow and
 invalid-value warnings are off inside the stepper.
 
 The per-step products (stage sums, error estimate, the variational J W) go
 through ndarray.dot: cheaper per call than @, and the same bits at these
-shapes, which the test-suite checks on the BLAS it runs on.
+shapes, which the test-suite checks on the BLAS it runs on. Max norms are
+exact, so taking them on Python floats gives numpy's bits.
 """
 from __future__ import annotations
 
@@ -130,6 +133,12 @@ def _guard(t: float, y: np.ndarray, t_last: float, y_last: np.ndarray) -> None:
         raise _blowup(t, t_last, y_last)
 
 
+def _max_abs(v: np.ndarray) -> float:
+    """max|v| from its Python floats; numpy's where their sum is not finite (NaN, inf)."""
+    vals = v.tolist()
+    return max(map(abs, vals)) if math.isfinite(sum(vals)) else float(np.abs(v).max())
+
+
 def _dense_output(t: float, h: float, y: np.ndarray, k: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Quartic interpolant of the step from (t, y) over h, one row per time, in one product."""
     theta = np.minimum(1.0, (times - t) / h)
@@ -150,10 +159,12 @@ def _adaptive_rk45(
         raise ValueError("initial state must be finite")
     y, t = start, 0.0
     f0 = np.asarray(field(0.0, y), dtype=float)
+    if f0.shape != y.shape:
+        raise ValueError(f"field value has shape {f0.shape}, the state has shape {y.shape}")
     # the field may be large where the state is small: check it for finiteness only
     if not np.isfinite(f0).all():
         raise IntegrationError("field is non-finite at t = 0", "non_finite", 0.0, y)
-    y_norm = float(np.abs(y).max())   # max|y|, carried from step to step
+    y_norm = _max_abs(y)              # max|y|, carried from step to step
     h = min(t_end, 0.01 * (1.0 + y_norm) / (1.0 + float(np.abs(f0).max())))
 
     times = np.linspace(0.0, t_end, sample_count)
@@ -163,6 +174,7 @@ def _adaptive_rk45(
 
     k = np.empty((7, y.size))
     k[0] = f0
+    stages = [(i, _A[i], k[:i], _C[i]) for i in range(1, 7)]
     err_prev = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(MAX_STEPS):
@@ -173,16 +185,16 @@ def _adaptive_rk45(
                 raise IntegrationError(f"step size underflow at t = {t:.6g}", "step_underflow", t, y)
             # stage i's state; the last one is the 5th-order solution, its field k[6]
             try:
-                for i in range(1, 7):
-                    y_new = y + h * _A[i].dot(k[:i])
-                    k[i] = field(t + _C[i] * h, y_new)
+                for i, a, ki, c in stages:
+                    y_new = y + h * a.dot(ki)
+                    k[i] = field(t + c * h, y_new)
             except ValueError:
                 if np.isfinite(y_new).all():  # not an overflow: the field's own input error
                     raise
                 _guard(t + h, y_new, t, y)
-            y_new_norm = float(np.abs(y_new).max())
+            y_new_norm = _max_abs(y_new)
             # max|h * (_ERR k)|, exactly: h > 0 and rounding is monotone
-            err_norm = h * float(np.abs(_ERR.dot(k)).max())
+            err_norm = h * _max_abs(_ERR.dot(k))
             if not (math.isfinite(y_new_norm) and math.isfinite(err_norm)):
                 _guard(t + h, y_new, t, y)
             scale = ABS_TOL + REL_TOL * max(y_norm, y_new_norm)
@@ -247,11 +259,11 @@ def integrate_with_variational(
     n = u0.size
     # one buffer per integration: the stepper copies each field value into its stage row
     out = np.empty(n + n * n)
-    out_mat = out[n:].reshape(n, n)
+    out_vec, out_mat = out[:n], out[n:].reshape(n, n)
 
     def augmented(t: float, y: np.ndarray) -> np.ndarray:
         field, jacobian = field_and_jacobian(t, y[:n])
-        out[:n] = field
+        out_vec[...] = field
         jacobian.dot(y[n:].reshape(n, n), out=out_mat)
         return out
 

@@ -78,7 +78,8 @@ def rotating_kernels(config: RegimeConfig):
 
     Omega (chen.omega's regime check), a + d, a(a+d), om/(a+d), om/a,
     om d/(a(a+d)), b, r and eps are read here; each call still validates v
-    through chen._state.
+    through chen._state. field returns the drift as four Python floats;
+    field_and_jacobian returns them, bit for bit, and a fresh (4, 4) array.
     """
     p, eps = config.params, config.epsilon
     om, a, d, b, r = omega(p), p.a, p.d, p.b, p.r
@@ -86,32 +87,32 @@ def rotating_kernels(config: RegimeConfig):
     a_ad = a * ad
     k_ad, k_a, k_d = om / ad, om / a, om * d / a_ad
 
-    def rotate(t: float, v):
-        """Phi(t) v, rows x and y of Phi(t) on (x, y, w), and the drift (N_x = 0)."""
+    def field(t: float, v) -> tuple[float, float, float, float]:
+        cos, sin = math.cos(om * t), math.sin(om * t)
+        ks, ws = k_ad * sin, k_a * sin / ad
+        p00, dx, dy = cos + ks, (1 - cos) / ad, d * (cos - 1) / a_ad
+        vx, vy, vz, vw = _state(v)
+        # x and y of Phi(t) v (z and w stay), then Phi(t)^{-1} eps N (N_x = 0)
+        x, y = p00 * vx + -ks * vy + (dx - ws) * vw, -(k_d * sin) * vx + (cos - ks) * vy + dy * vw
+        n1, n2, n3 = _nonlinear(b, r, x, y, vz, vw)
+        return eps * (ks * n1 + (dx + ws) * n3), eps * (p00 * n1 + dy * n3), eps * n2, eps * n3
+
+    def field_and_jacobian(t: float, v) -> tuple[tuple[float, float, float, float], np.ndarray]:
+        """DN's one home besides chen._jacobian: this hot kernel expands it sparsely by hand."""
         cos, sin = math.cos(om * t), math.sin(om * t)
         ks, ws, kds = k_ad * sin, k_a * sin / ad, k_d * sin
         dx, dy = (1 - cos) / ad, d * (cos - 1) / a_ad
-        rows = (cos + ks, -ks, dx - ws, -kds, cos - ks, dy)
-        vx, vy, vz, vw = _state(v)
-        x = rows[0] * vx + rows[1] * vy + rows[2] * vw
-        y = rows[3] * vx + rows[4] * vy + rows[5] * vw
-        # rows x and y of Phi(t)^{-1} on (y, w)
-        q01, q03, q11, q13 = q = (ks, dx + ws, cos + ks, dy)
-        n1, n2, n3 = _nonlinear(b, r, x, y, vz, vw)
-        drift = np.array([eps * (q01 * n1 + q03 * n3), eps * (q11 * n1 + q13 * n3), eps * n2, eps * n3])
-        return drift, x, y, vz, rows, q
-
-    def field(t: float, v) -> np.ndarray:
-        return rotate(t, v)[0]
-
-    def field_and_jacobian(t: float, v) -> tuple[np.ndarray, np.ndarray]:
-        """DN's one home besides chen._jacobian: this hot kernel expands it sparsely by hand."""
-        drift, x, y, z, (p00, p01, p03, p10, p11, p13), (q01, q03, q11, q13) = rotate(t, v)
+        # rows x and y of Phi(t) on (x, y, w); those of Phi(t)^{-1} on (y, w) are (ks, q03), (p00, dy)
+        p00, p01, p03, p10, p11, p13, q03 = cos + ks, -ks, dx - ws, -kds, cos - ks, dy, dx + ws
+        vx, vy, z, vw = _state(v)
+        x, y = p00 * vx + p01 * vy + p03 * vw, p10 * vx + p11 * vy + p13 * vw
+        n1, n2, n3 = _nonlinear(b, r, x, y, z, vw)
+        drift = eps * (ks * n1 + q03 * n3), eps * (p00 * n1 + dy * n3), eps * n2, eps * n3
         # rows y and w of DN(u) Phi are (g0, g1, -x, g3) and (h0, h1, y, h3); row x is zero
         g0, g1, g3 = -z * p00, -z * p01, -z * p03
         h0, h1, h3 = z * p10, z * p11, z * p13 + r
         # Phi^{-1} mixes rows y and w into rows x and y and passes rows z and w through
-        a1, a3, c1, c3 = eps * q01, eps * q03, eps * q11, eps * q13
+        a1, a3, c1, c3 = eps * ks, eps * q03, eps * p00, eps * dy
         jacobian = np.array([
             a1 * g0 + a3 * h0, a1 * g1 + a3 * h1, a3 * y - a1 * x, a1 * g3 + a3 * h3,
             c1 * g0 + c3 * h0, c1 * g1 + c3 * h1, c3 * y - c1 * x, c1 * g3 + c3 * h3,

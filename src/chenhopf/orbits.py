@@ -405,8 +405,10 @@ def recurrence_defect(config: RegimeConfig, orbit: PeriodicOrbit, periods: int =
 
     Original-frame orbits are integrated under the full field with the
     dissipation coefficients shrunk by epsilon, exactly as the frame mapping
-    promises.
+    promises. periods must be a positive integer.
     """
+    if not (isinstance(periods, (int, np.integer)) and periods >= 1):
+        raise ValueError(f"periods must be a positive integer, got {periods!r}")
     if orbit.frame == "original":
         p = config.params
         full = ChenParams(a=p.a, b=config.epsilon * p.b, c=p.a, d=p.d,

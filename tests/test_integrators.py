@@ -1,9 +1,21 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
 from chenhopf import integrators
 from chenhopf.averaging import averaged_zero_points, averaged_zeros
-from chenhopf.chen import canonical_config, random_admissible_config, split_standard_form, standard_form_field, standard_form_jacobian
+from chenhopf.chen import (
+    _nonlinear,
+    _state,
+    canonical_config,
+    omega,
+    random_admissible_config,
+    split_standard_form,
+    standard_form_field,
+    standard_form_jacobian,
+)
 from chenhopf.integrators import (
     ABS_TOL,
     BLOWUP_NORM,
@@ -323,6 +335,19 @@ def test_input_validation():
         integrate(lambda t, s: s, np.ones(4), 1.0, sample_count=1)
 
 
+@pytest.mark.parametrize("value, state", [
+    pytest.param(1.0, np.zeros(3), id="scalar"),
+    pytest.param(np.ones(1), np.zeros(2), id="one-vector"),
+    pytest.param(np.ones(3), np.zeros(2), id="three-vector-on-two-state"),
+])
+def test_field_value_must_have_the_state_shape(value, state):
+    # a misshapen field value would broadcast into the stage rows; the stepper
+    # checks the value at t = 0 against the state and names both shapes
+    message = f"field value has shape {np.shape(value)}, the state has shape {state.shape}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        integrate(lambda t, s: value, state, 1.0)
+
+
 def _never_called(_):
     raise AssertionError("the guard must reject the input before any evaluation")
 
@@ -419,3 +444,120 @@ def test_variational_matches_flow_map_finite_differences(rng):
         minus = integrate(field, u0 - e, 1.0).states[-1]
         fd[:, j] = (plus - minus) / 2e-6
     assert np.max(np.abs(mono - fd)) < 1e-5
+
+
+# ------------------------------------------------------------ reference hot path
+
+def _reference_rk45(field, u0, t_end, sample_count=2):
+    """The stepper before its per-stage overhead was cut: the byte-for-byte oracle of the core."""
+    start = np.array(u0, dtype=float)
+    y, t = start, 0.0
+    f0 = np.asarray(field(0.0, y), dtype=float)
+    y_norm = float(np.abs(y).max())
+    h = min(t_end, 0.01 * (1.0 + y_norm) / (1.0 + float(np.abs(f0).max())))
+    times = np.linspace(0.0, t_end, sample_count)
+    interior = times[1:-1]
+    samples = np.empty((interior.size, y.size))
+    next_sample = 0
+    A, C, ERR = integrators._A, integrators._C, integrators._ERR
+    k = np.empty((7, y.size))
+    k[0] = f0
+    err_prev = 1.0
+    while t < t_end:
+        h = min(h, t_end - t)
+        for i in range(1, 7):
+            y_new = y + h * A[i].dot(k[:i])
+            k[i] = field(t + C[i] * h, y_new)
+        y_new_norm = float(np.abs(y_new).max())
+        err_norm = h * float(np.abs(ERR.dot(k)).max())
+        err = err_norm / (ABS_TOL + REL_TOL * max(y_norm, y_new_norm))
+        if err <= 1.0:
+            if next_sample < interior.size and interior[next_sample] <= t + h + 1e-15:
+                stop = int(np.searchsorted(interior, t + h + 1e-15, side="right"))
+                samples[next_sample:stop] = integrators._dense_output(t, h, y, k, interior[next_sample:stop])
+                next_sample = stop
+            t += h
+            y, y_norm = y_new, y_new_norm
+            k[0] = k[6]
+            fac = 0.9 * (err + 1e-20) ** (-0.7 / 5.0) * err_prev ** (0.4 / 5.0)
+            err_prev = max(err, 1e-4)
+            h *= min(5.0, max(0.2, fac))
+        else:
+            h *= max(0.2, min(1.0, 0.9 * err ** (-0.2)))
+    return np.vstack([start, samples, y])
+
+
+def _reference_variational(field_and_jacobian, u0, t_end):
+    u0 = np.asarray(u0, dtype=float)
+    out = np.empty(20)
+    out_mat = out[4:].reshape(4, 4)
+
+    def augmented(t, y):
+        field, jacobian = field_and_jacobian(t, y[:4])
+        out[:4] = field
+        jacobian.dot(y[4:].reshape(4, 4), out=out_mat)
+        return out
+
+    final = _reference_rk45(augmented, np.concatenate([u0, np.eye(4).ravel()]), t_end)[-1]
+    return final[:4], final[4:].reshape(4, 4)
+
+
+def _reference_rotating_kernels(config):
+    """The rotating pair before its per-call overhead was cut: one shared rotate, array values."""
+    p, eps = config.params, config.epsilon
+    om, a, d, b, r = omega(p), p.a, p.d, p.b, p.r
+    ad = a + d
+    a_ad = a * ad
+    k_ad, k_a, k_d = om / ad, om / a, om * d / a_ad
+
+    def rotate(t, v):
+        cos, sin = math.cos(om * t), math.sin(om * t)
+        ks, ws, kds = k_ad * sin, k_a * sin / ad, k_d * sin
+        dx, dy = (1 - cos) / ad, d * (cos - 1) / a_ad
+        rows = (cos + ks, -ks, dx - ws, -kds, cos - ks, dy)
+        vx, vy, vz, vw = _state(v)
+        x = rows[0] * vx + rows[1] * vy + rows[2] * vw
+        y = rows[3] * vx + rows[4] * vy + rows[5] * vw
+        q01, q03, q11, q13 = q = (ks, dx + ws, cos + ks, dy)
+        n1, n2, n3 = _nonlinear(b, r, x, y, vz, vw)
+        drift = np.array([eps * (q01 * n1 + q03 * n3), eps * (q11 * n1 + q13 * n3), eps * n2, eps * n3])
+        return drift, x, y, vz, rows, q
+
+    def field_and_jacobian(t, v):
+        drift, x, y, z, (p00, p01, p03, p10, p11, p13), (q01, q03, q11, q13) = rotate(t, v)
+        g0, g1, g3 = -z * p00, -z * p01, -z * p03
+        h0, h1, h3 = z * p10, z * p11, z * p13 + r
+        a1, a3, c1, c3 = eps * q01, eps * q03, eps * q11, eps * q13
+        jacobian = np.array([
+            a1 * g0 + a3 * h0, a1 * g1 + a3 * h1, a3 * y - a1 * x, a1 * g3 + a3 * h3,
+            c1 * g0 + c3 * h0, c1 * g1 + c3 * h1, c3 * y - c1 * x, c1 * g3 + c3 * h3,
+            eps * (y * p00 + x * p10), eps * (y * p01 + x * p11), -eps * b, eps * (y * p03 + x * p13),
+            eps * h0, eps * h1, eps * y, eps * h3,
+        ]).reshape(4, 4)
+        return drift, jacobian
+
+    return (lambda t, v: rotate(t, v)[0]), field_and_jacobian
+
+
+@pytest.mark.parametrize("frame", ["rotating", "standard_form"])
+def test_hot_path_is_bit_identical_to_the_reference(rng, frame):
+    # both canonical refusal seeds, then random configs at each epsilon from
+    # a point off their averaged zero; the pinned counts above fix the steps,
+    # this fixes every bit of every sample, endpoint and monodromy matrix
+    cases = [(canonical_config(eps), averaged_zero_points(canonical_config(eps))[branch])
+             for eps in (0.005, 0.01) for branch in (0, 1)]
+    for base in [random_admissible_config(rng) for _ in range(3)]:
+        for eps in (0.0, 0.005, 0.01, 0.04):
+            cfg = base.with_epsilon(eps)
+            cases.append((cfg, averaged_zero_points(cfg)[0] + rng.uniform(-0.1, 0.1, 4)))
+    for cfg, u0 in cases:
+        if frame == "rotating":
+            (field, pair), (ref_field, ref_pair) = rotating_kernels(cfg), _reference_rotating_kernels(cfg)
+        else:
+            field = ref_field = lambda t, s: standard_form_field(cfg, s)
+            pair = ref_pair = lambda t, s: (standard_form_field(cfg, s), standard_form_jacobian(cfg, s))
+        T = period(cfg)
+        got = integrate(field, u0, T, sample_count=5).states
+        assert got.tobytes() == _reference_rk45(ref_field, u0, T, sample_count=5).tobytes()
+        for got, want in zip(integrate_with_variational(pair, u0, T), _reference_variational(ref_pair, u0, T)):
+            assert got.tobytes() == want.tobytes()

@@ -262,7 +262,7 @@ def test_averaged_zeros_continue_into_equilibria_not_cycles():
 
 def test_shoot_refusal_stops_on_the_residual_floor():
     # the residual reaches its floor (about 4.1e-5) within a few steps; the
-    # refusal must say so instead of spending its 20-iteration budget
+    # refusal must say so instead of spending its MAX_ITER = 25 budget
     cfg = canonical_config(0.01)
     first, _ = averaged_zeros(cfg)
     with pytest.raises(ShootingError) as err:
@@ -471,6 +471,14 @@ def test_recurrence_defect_multi_period(rng):
     T0 = period(cfg)
     orbit = shoot(cfg, rng.uniform(-1, 1, 4), T0)
     assert recurrence_defect(cfg, orbit, periods=5) < 1e-7
+
+
+@pytest.mark.parametrize("periods", [0, -1, 1.5])
+def test_recurrence_defect_rejects_a_non_positive_or_fractional_period_count(periods):
+    # its own message, not the stepper's complaint about t_end
+    orbit = _fake_orbit(0.0, averaged_zero_points(canonical_config(0.0))[0])
+    with pytest.raises(ValueError, match=f"periods must be a positive integer, got {periods}$"):
+        recurrence_defect(canonical_config(0.0), orbit, periods=periods)
 
 
 def test_orbit_trajectory_samples_one_period():
