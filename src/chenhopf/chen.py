@@ -99,11 +99,10 @@ def canonical_config(epsilon: float = 0.0) -> RegimeConfig:
 def _state(state) -> list[float]:
     """The four components of a finite 4-vector as Python floats.
 
-    Every single-state field and Jacobian below, and linear_flow's rotating
-    pair, validates through here. split_standard_form does not: it takes
-    stacks too, and runs one array-wide check with the same messages.
-    Checking four floats with math.isfinite costs a fraction of an array-wide
-    isfinite; Python-float arithmetic gives the same IEEE results.
+    Every field and Jacobian below, split_standard_form and linear_flow's
+    rotating pair validate through here. Checking four floats with
+    math.isfinite costs a fraction of an array-wide isfinite; Python-float
+    arithmetic gives the same IEEE results.
     """
     s = np.asarray(state, dtype=float)
     if s.shape != (4,):
@@ -115,7 +114,7 @@ def _state(state) -> list[float]:
 
 
 def _linear(a, c, d, x, y, w):
-    """L's two nonzero components (a(y - x) + w, d x + c y), on floats or arrays."""
+    """L's two nonzero components (a(y - x) + w, d x + c y)."""
     return a * (y - x) + w, d * x + c * y
 
 
@@ -235,25 +234,13 @@ def omega(params: ChenParams) -> float:
 def split_standard_form(config: RegimeConfig, state) -> tuple[np.ndarray, np.ndarray]:
     """Linear part L and perturbation N of the standard form, whose field is L + epsilon * N.
 
-    state is one state (4,) or a stack (n, 4) of states, and the two arrays
-    have its shape. One body serves both, so each row of a stack equals the
-    call on that state bit for bit (the zero entries are filled with 0.0, so
-    their sign does not depend on the state). A stack with a non-finite entry
-    is refused by naming its first such row, so the message stays one short line.
+    state is one state, validated by _state. The zero entries are 0.0, so
+    their sign does not depend on the state.
     """
-    a, b, d, r = config.params.a, config.params.b, config.params.d, config.params.r
-    s = np.asarray(state, dtype=float)
-    if s.ndim not in (1, 2) or s.shape[-1] != 4:
-        raise ValueError(f"state must have 4 components, got shape {s.shape}")
-    if not np.isfinite(s).all():
-        if s.ndim == 1:
-            raise ValueError(f"state contains non-finite entries: {s!r}")
-        row = int(np.argmin(np.isfinite(s).all(axis=1)))   # the first bad row, not the whole stack
-        raise ValueError(f"state row {row} of {len(s)} contains non-finite entries: {s[row]!r}")
-    x, y, z, w = s.T
-    zero = np.zeros(s.shape[:-1])
-    linear = np.stack([*_linear(a, a, d, x, y, w), zero, zero], axis=-1)
-    perturbation = np.stack([zero, *_nonlinear(b, r, x, y, z, w)], axis=-1)
+    x, y, z, w = _state(state)
+    p = config.params
+    linear = np.array([*_linear(p.a, p.a, p.d, x, y, w), 0.0, 0.0])
+    perturbation = np.array([0.0, *_nonlinear(p.b, p.r, x, y, z, w)])
     return linear, perturbation
 
 

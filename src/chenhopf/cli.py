@@ -118,22 +118,13 @@ def _json(value):
 def _write_csv(args, header, rows, report: str | None) -> None:
     """The CSV to --out and the report to stdout, or the CSV to stdout and the report to stderr.
 
-    None is an empty cell, bools are true/false, floats round-trip.
+    The rows hold floats and ints, which csv writes with str: floats round-trip.
     """
-    def cell(value):
-        if value is None:
-            return ""
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        if isinstance(value, float):
-            return repr(float(value))
-        return value
-
     target = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
     with target as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([cell(v) for v in row] for row in rows)
+        writer.writerows(rows)
     if report is not None:
         print(report, file=sys.stdout if args.out else sys.stderr)
 
@@ -288,9 +279,8 @@ def _parse_epsilons(text: str) -> list[float]:
 def _cmd_sweep(args) -> int:
     config = _config(args)
     study = branch_study(config, _parse_epsilons(args.epsilons))
-    slopes = {str(k): v for k, v in study.slope_by_branch.items()}
     # rendered before any CSV is written: strict JSON may refuse it
-    report = _render(args, {"slope_by_branch": slopes, "total_rows": len(study.rows)})
+    report = _render(args, {"slope_by_branch": study.slope_by_branch, "total_rows": len(study.rows)})
     _write_csv(args, [f.name for f in dataclasses.fields(BranchRow)],
                [dataclasses.astuple(row) for row in study.rows], report)
     return EXIT_OK

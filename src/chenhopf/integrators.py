@@ -18,14 +18,13 @@ Which guard runs where:
   field's value at t = 0 are validated (ValueError); that value must be
   finite ("non_finite"; it may exceed BLOWUP_NORM where the state is small);
 * each stage: the fields reject a non-finite state (chen._state raises
-  ValueError); if the stage state overflowed, that is "non_finite";
-* each step attempt: the max-norms of the proposed state and error
-  estimate, which carry NaN and inf, are checked for finiteness
-  ("non_finite", or "blowup" if only the error estimate is not finite and
-  the state is past BLOWUP_NORM), and h must stay above a tiny floor
-  ("step_underflow");
-* each accepted step: only the blow-up test, on the max|y| the error norm
-  already computed, since finiteness was checked before acceptance;
+  ValueError); if the stage state overflowed, the step attempt ends there
+  and that state is the proposed one below;
+* each step attempt: h must stay above a tiny floor ("step_underflow"); the
+  proposed state's max norm, which carries NaN and inf, must be finite
+  ("non_finite"); past BLOWUP_NORM it is "blowup" if the step is accepted
+  or its error estimate is not finite (a finite estimate above tolerance
+  only rejects the step);
 * the loop as a whole: at most MAX_STEPS step attempts ("max_steps").
 
 Fields are called as field(t, y), stage i at t + _C[i] * h, and may return
@@ -117,22 +116,6 @@ class Trajectory:
     states: np.ndarray
 
 
-def _blowup(t: float, t_last: float, y_last: np.ndarray) -> IntegrationError:
-    return IntegrationError(
-        f"state norm exceeded {BLOWUP_NORM:.0e} near t = {t:.6g} (blow-up)",
-        "blowup", t_last, y_last,
-    )
-
-
-def _guard(t: float, y: np.ndarray, t_last: float, y_last: np.ndarray) -> None:
-    if not np.isfinite(y).all():
-        raise IntegrationError(
-            f"state became non-finite near t = {t:.6g}", "non_finite", t_last, y_last
-        )
-    if np.abs(y).max() > BLOWUP_NORM:
-        raise _blowup(t, t_last, y_last)
-
-
 def _max_abs(v: np.ndarray) -> float:
     """max|v| from its Python floats; numpy's where their sum is not finite (NaN, inf)."""
     vals = v.tolist()
@@ -191,19 +174,22 @@ def _adaptive_rk45(
             except ValueError:
                 if np.isfinite(y_new).all():  # not an overflow: the field's own input error
                     raise
-                _guard(t + h, y_new, t, y)
+            # y_new is the proposed state, or the stage state that overflowed
             y_new_norm = _max_abs(y_new)
+            if not math.isfinite(y_new_norm):
+                raise IntegrationError(
+                    f"state became non-finite near t = {t + h:.6g}", "non_finite", t, y
+                )
             # max|h * (_ERR k)|, exactly: h > 0 and rounding is monotone
             err_norm = h * _max_abs(_ERR.dot(k))
-            if not (math.isfinite(y_new_norm) and math.isfinite(err_norm)):
-                _guard(t + h, y_new, t, y)
             scale = ABS_TOL + REL_TOL * max(y_norm, y_new_norm)
             err = err_norm / scale
+            if y_new_norm > BLOWUP_NORM and (err <= 1.0 or not math.isfinite(err_norm)):
+                raise IntegrationError(
+                    f"state norm exceeded {BLOWUP_NORM:.0e} near t = {t + h:.6g} (blow-up)",
+                    "blowup", t, y,
+                )
             if err <= 1.0:
-                # y_new is finite here (checked above); the blow-up error keeps
-                # the pre-step time and state, the last good ones
-                if y_new_norm > BLOWUP_NORM:
-                    raise _blowup(t + h, t, y)
                 if next_sample < interior.size and interior[next_sample] <= t + h + 1e-15:
                     # dense output over (t, t+h]
                     stop = int(np.searchsorted(interior, t + h + 1e-15, side="right"))
@@ -263,6 +249,10 @@ def integrate_with_variational(
 
     def augmented(t: float, y: np.ndarray) -> np.ndarray:
         field, jacobian = field_and_jacobian(t, y[:n])
+        # checked once, at the first call: out_vec would broadcast a misshapen drift
+        if t == 0.0 and (np.shape(field) != (n,) or np.shape(jacobian) != (n, n)):
+            raise ValueError(f"field_and_jacobian returned shapes {np.shape(field)} and "
+                             f"{np.shape(jacobian)}, the state needs ({n},) and ({n}, {n})")
         out_vec[...] = field
         jacobian.dot(y[n:].reshape(n, n), out=out_mat)
         return out

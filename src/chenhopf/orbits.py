@@ -145,8 +145,8 @@ def shoot(
     Integration failures (blow-up, step budget) propagate as
     IntegrationError with their own reason.
     """
-    if not seed_period > 0:
-        raise ValueError(f"seed_period must be positive, got {seed_period}")
+    if not (seed_period > 0 and np.isfinite(seed_period)):
+        raise ValueError(f"seed_period must be finite and positive, got {seed_period}")
     seed = np.asarray(seed_state, dtype=float)
     anchor = standard_form_field(config, seed)
     t_lo, t_hi = _PERIOD_TRUST[0] * seed_period, _PERIOD_TRUST[1] * seed_period

@@ -348,6 +348,48 @@ def test_field_value_must_have_the_state_shape(value, state):
         integrate(lambda t, s: value, state, 1.0)
 
 
+def _field_failing_on_call(bad_call, bad_value, rejects_non_finite):
+    """The constant field 1.0 on a 1-vector, returning bad_value on call number bad_call."""
+    calls = 0
+
+    def field(t, s):
+        nonlocal calls
+        if rejects_non_finite and not np.isfinite(s).all():
+            raise ValueError(f"state contains non-finite entries: {s!r}")
+        calls += 1
+        return [bad_value if calls == bad_call else 1.0]
+    return field
+
+
+_BLOWUP = ("blowup", "state norm exceeded 1e+12 near t = 1 (blow-up)", 0.0, [2e12])
+_STAGE = ("non_finite", "state became non-finite near t = 0.005", 0.0, [0.0])
+
+
+# call 1 is the field at t = 0, calls 2 to 7 the first step's stages (k[6] last)
+@pytest.mark.parametrize("bad_call, bad_value, start, rejects_non_finite, failure", [
+    pytest.param(7, math.inf, 0.0, False, None, id="inf-last-stage-rejects-the-step"),
+    pytest.param(7, math.nan, 0.0, False, None, id="nan-last-stage-rejects-the-step"),
+    pytest.param(7, math.inf, 2e12, False, _BLOWUP, id="inf-last-stage-past-the-norm"),
+    pytest.param(7, math.nan, 2e12, False, _BLOWUP, id="nan-last-stage-past-the-norm"),
+    pytest.param(None, 1.0, 2e12, False, _BLOWUP, id="accepted-step-past-the-norm"),
+    pytest.param(4, math.inf, 0.0, False, _STAGE, id="inf-stage"),
+    pytest.param(4, math.nan, 0.0, False, _STAGE, id="nan-stage"),
+    pytest.param(4, math.inf, 0.0, True, _STAGE, id="inf-stage-refused-by-the-field"),
+])
+def test_stepper_failure_table(bad_call, bad_value, start, rejects_non_finite, failure):
+    field = _field_failing_on_call(bad_call, bad_value, rejects_non_finite)
+    if failure is None:
+        # a non-finite error estimate on a state within the norm only rejects the step
+        assert integrate(field, [start], 1.0).states[-1].tolist() == [0.9999999999999998]
+        return
+    reason, message, last_time, last_state = failure
+    with pytest.raises(IntegrationError, match=f"^{re.escape(message)}$") as err:
+        integrate(field, [start], 1.0)
+    assert err.value.reason == reason
+    assert err.value.last_time == last_time
+    assert err.value.last_state.tolist() == last_state
+
+
 def _never_called(_):
     raise AssertionError("the guard must reject the input before any evaluation")
 
@@ -399,6 +441,20 @@ def test_variational_buffer_is_the_concatenated_augmented_field(frame):
     end = integrate(augmented, np.concatenate([u, np.eye(4).ravel()]), 2 * np.pi).states[-1]
     assert final.tobytes() == end[:4].tobytes()
     assert mono.tobytes() == end[4:].reshape(4, 4).tobytes()
+
+
+@pytest.mark.parametrize("drift, jacobian", [
+    pytest.param(1.0, np.zeros((4, 4)), id="scalar-drift"),
+    pytest.param([2.0], np.zeros((4, 4)), id="one-vector-drift"),
+    pytest.param(np.ones(3), np.zeros((4, 4)), id="three-vector-drift"),
+    pytest.param(np.ones(4), np.zeros((3, 3)), id="three-by-three-jacobian"),
+])
+def test_variational_drift_and_jacobian_must_have_the_state_shapes(drift, jacobian):
+    # the drift is written into a (4,) view, which would broadcast a scalar or a 1-vector
+    message = (f"field_and_jacobian returned shapes {np.shape(drift)} and {np.shape(jacobian)}, "
+               "the state needs (4,) and (4, 4)")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        integrate_with_variational(lambda t, s: (drift, jacobian), np.zeros(4), 1.0)
 
 
 def test_variational_zero_field_gives_identity():

@@ -189,10 +189,6 @@ def test_batched_calls_equal_the_stack_of_scalar_calls(admissible_configs, rng):
         assert flow(cfg, states, times).tobytes() == pairwise.tobytes()
         for t in times:
             assert fundamental_matrix_inverse(cfg, t).tobytes() == fundamental_matrix(cfg, -t).tobytes()
-        linear, perturbation = split_standard_form(cfg, states)
-        for s, lin_row, pert_row in zip(states, linear, perturbation):
-            lin, pert = split_standard_form(cfg, s)
-            assert lin_row.tobytes() == lin.tobytes() and pert_row.tobytes() == pert.tobytes()
         basis_flows = np.column_stack([flow(cfg, e, times[0]) for e in np.eye(4)])
         assert fundamental_matrix(cfg, times[0]).tobytes() == basis_flows.tobytes()
 
@@ -212,9 +208,7 @@ def test_one_shape_path_for_every_kind_of_scalar(admissible_configs, rng):
         for same in (np.float64(t), np.array(t)):
             assert fundamental_matrix_inverse(cfg, same).tobytes() == ref.tobytes()
         linear, perturbation = split_standard_form(cfg, states[0])
-        rows = split_standard_form(cfg, states[:1])
         assert linear.shape == perturbation.shape == (4,)
-        assert linear.tobytes() == rows[0][0].tobytes() and perturbation.tobytes() == rows[1][0].tobytes()
         # a single state or point runs the stacked body: it equals its one-row stack bit for bit
         assert flow(cfg, states[0], t).tobytes() == flow(cfg, states[:1], t)[0].tobytes()
         single, stacked = bifurcation_function(cfg, states[0]), bifurcation_function(cfg, states[:1])

@@ -481,6 +481,14 @@ def test_recurrence_defect_rejects_a_non_positive_or_fractional_period_count(per
         recurrence_defect(canonical_config(0.0), orbit, periods=periods)
 
 
+@pytest.mark.parametrize("seed_period", [np.inf, np.nan, 0.0, -1.0], ids=["inf", "nan", "0", "-1"])
+def test_shoot_rejects_a_seed_period_that_is_not_finite_and_positive(seed_period):
+    # its own message, not the stepper's complaint about t_end
+    cfg = canonical_config(0.01)
+    with pytest.raises(ValueError, match=f"^seed_period must be finite and positive, got {seed_period}$"):
+        shoot(cfg, averaged_zero_points(cfg)[0], seed_period)
+
+
 def test_orbit_trajectory_samples_one_period():
     cfg = canonical_config(0.0)
     first, _ = averaged_zeros(cfg)
