@@ -153,7 +153,7 @@ def _node_rotations(
 ) -> tuple[float, tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
     """T and the read-only row views (nodes, 1, 4) F0..F3 = Phi(+t_k) e_m and B1..B3 = Phi(-t_k) e_m."""
     T = period(config)
-    times = T * np.arange(nodes) / nodes   # periodic_trapezoid's expression, so the same doubles
+    times = T * np.arange(nodes) / nodes   # node k at T * k / nodes, the time periodic_trapezoid names
     with np.errstate(over="ignore", invalid="ignore"):
         forward, backward = flow(config, np.eye(4), times[:, None]), flow(config, np.eye(4), -times[:, None])
     forward.flags.writeable = backward.flags.writeable = False   # and so every view of them
@@ -175,9 +175,9 @@ def bifurcation_function_quadrature(config: RegimeConfig, u, nodes: int = QUADRA
     u is one point (4,) or a stack (k, 4) of points, and the result has u's
     shape. All nodes of all points go through one pass of elementwise products
     summed left to right (a stacked matmul can differ from single ones in the
-    last bit), so each row equals a per-node scalar loop bit for bit. An
-    overflow is a non-finite sample, which periodic_trapezoid reports as a
-    ValueError.
+    last bit), so each row equals a per-node scalar loop bit for bit. The
+    (nodes, 4k) samples go to periodic_trapezoid, which averages them over T
+    and reports an overflow, a non-finite sample, as a ValueError.
     """
     if nodes < QUADRATURE_NODES:
         raise ValueError(f"need at least {QUADRATURE_NODES} quadrature nodes, got {nodes}")
@@ -188,16 +188,11 @@ def bifurcation_function_quadrature(config: RegimeConfig, u, nodes: int = QUADRA
     # so periodic_trapezoid adds each point's nodes in order
     rows = u.reshape(-1, 4)
     u0, u1, u2, u3 = (rows[:, m, None] for m in range(4))
-
-    def integrand(times: np.ndarray) -> np.ndarray:
-        # times equals the rotations' node times, double for double
-        with np.errstate(over="ignore", invalid="ignore"):
-            states = u0 * F0 + u1 * F1 + u2 * F2 + u3 * F3
-            n1, n2, n3 = _nonlinear(b, r, *(states[..., m, None] for m in range(4)))
-            samples = n1 * B1 + n2 * B2 + n3 * B3
-        return samples.reshape(nodes, -1)
-
-    return periodic_trapezoid(integrand, T, nodes).reshape(u.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = u0 * F0 + u1 * F1 + u2 * F2 + u3 * F3
+        n1, n2, n3 = _nonlinear(b, r, *(states[..., m, None] for m in range(4)))
+        samples = n1 * B1 + n2 * B2 + n3 * B3
+    return periodic_trapezoid(samples.reshape(nodes, -1), T).reshape(u.shape)
 
 
 def quadrature_gap(config: RegimeConfig, points) -> float:

@@ -24,7 +24,8 @@ Which guard runs where:
   proposed state's max norm, which carries NaN and inf, must be finite
   ("non_finite"); past BLOWUP_NORM it is "blowup" if the step is accepted
   or its error estimate is not finite (a finite estimate above tolerance
-  only rejects the step);
+  only rejects the step); a NaN or infinite estimate shrinks h by _FAC_MIN,
+  so a field that stays non-finite there ends as "step_underflow";
 * the loop as a whole: at most MAX_STEPS step attempts ("max_steps").
 
 Fields are called as field(t, y), stage i at t + _C[i] * h, and may return
@@ -202,7 +203,8 @@ def _adaptive_rk45(
                 err_prev = max(err, 1e-4)
                 h *= min(_FAC_MAX, max(_FAC_MIN, fac))
             else:
-                h *= max(_FAC_MIN, min(1.0, _SAFETY * err ** (-0.2)))
+                # a NaN estimate shrinks as an infinite one does: min(1.0, nan) would retry h
+                h *= max(_FAC_MIN, min(1.0, _SAFETY * err ** (-0.2))) if err < math.inf else _FAC_MIN
         else:
             raise IntegrationError(
                 f"exceeded max_steps = {MAX_STEPS} before t_end", "max_steps", t, y

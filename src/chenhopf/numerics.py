@@ -121,38 +121,31 @@ def determinant(matrix: np.ndarray) -> complex | float:
     return complex(det) if np.iscomplexobj(det) else float(det)
 
 
-def periodic_trapezoid(
-    integrand: Callable[[np.ndarray], np.ndarray], period: float, nodes: int
-) -> np.ndarray:
-    """Mean value of a periodic vector integrand over one period.
+def periodic_trapezoid(samples: np.ndarray, period: float) -> np.ndarray:
+    """Trapezoid-rule mean over one period of the (nodes, m) samples of a periodic integrand.
 
-    Equispaced sampling on [0, period); for a periodic integrand this is the
-    trapezoid rule, and it is exact (to roundoff) whenever the integrand is a
-    trigonometric polynomial with fewer than `nodes` harmonics.
-
-    The integrand is called once, on the array of node times
-    ``period * k / nodes`` (k = 0, ..., nodes - 1), and returns an
-    (nodes, m) array whose row k is the sample at node k. The rows are summed
-    in node order, as a running sum over the nodes would add them. A
-    non-finite sample is a ValueError that names the first such entry: its
-    value, column, node and time.
+    Row k is the sample at time ``period * k / nodes``, and the rows are summed
+    in node order, as a running sum over the nodes would add them. The rule is
+    exact (to roundoff) for a trigonometric polynomial with fewer than `nodes`
+    harmonics. A non-finite sample is a ValueError that names the first such
+    entry: its value, column, node and time.
     """
     if not period > 0:
         raise ValueError(f"period must be positive, got {period}")
-    if nodes < 4:
-        raise ValueError(f"need at least 4 nodes, got {nodes}")
-    times = period * np.arange(nodes) / nodes
     # in C order axis 0 is not the contiguous axis, so numpy adds the rows one
     # after another, as the loop did, and not pairwise
-    samples = np.asarray(integrand(times), dtype=float, order="C")
-    if samples.ndim != 2 or samples.shape[0] != nodes:
-        raise ValueError(f"integrand must return shape ({nodes}, m), got {samples.shape}")
+    samples = np.asarray(samples, dtype=float, order="C")
+    if samples.ndim != 2:
+        raise ValueError(f"samples must have shape (nodes, m), got {samples.shape}")
+    nodes = samples.shape[0]
+    if nodes < 4:
+        raise ValueError(f"need at least 4 nodes, got {nodes}")
     finite = np.isfinite(samples)
     if not finite.all():
         # the first bad entry in node order, not the whole row, so the message stays one short line
         k, j = divmod(int(np.argmin(finite)), samples.shape[1])
         raise ValueError(f"integrand returned non-finite value {float(samples[k, j])!r} in column {j} "
-                         f"at node {k} (t={float(times[k])!r})")
+                         f"at node {k} (t={float(period * k / nodes)!r})")
     return np.add.reduce(samples, axis=0) / nodes
 
 

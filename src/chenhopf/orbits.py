@@ -239,7 +239,7 @@ def _certified_orbit(config: RegimeConfig, report: NewtonReport, state, period: 
 
 def _branch_seed(config: RegimeConfig, branch: int) -> tuple[np.ndarray, float]:
     """The closed-form averaged zero of branch 1 or 2, and the period T0."""
-    if branch not in (1, 2):
+    if isinstance(branch, bool) or branch not in (1, 2):   # True == 1, but it is no branch
         raise ValueError(f"branch must be 1 or 2, got {branch}")
     return averaged_zero_points(config)[branch - 1], period(config)
 
@@ -407,7 +407,7 @@ def recurrence_defect(config: RegimeConfig, orbit: PeriodicOrbit, periods: int =
     dissipation coefficients shrunk by epsilon, exactly as the frame mapping
     promises. periods must be a positive integer.
     """
-    if not (isinstance(periods, (int, np.integer)) and periods >= 1):
+    if not (isinstance(periods, (int, np.integer)) and not isinstance(periods, bool) and periods >= 1):
         raise ValueError(f"periods must be a positive integer, got {periods!r}")
     if orbit.frame == "original":
         p = config.params

@@ -73,6 +73,14 @@ def test_quadrature_rejects_few_nodes(canonical):
         bifurcation_function_quadrature(canonical, np.zeros(4), nodes=7)
 
 
+@pytest.mark.parametrize("nodes, error", [(16.0, TypeError), (8.5, TypeError), (True, ValueError)],
+                         ids=["16.0", "8.5", "True"])
+def test_quadrature_refuses_a_non_integer_node_count(canonical, nodes, error):
+    # never an average over a grid of some other size
+    with pytest.raises(error):
+        bifurcation_function_quadrature(canonical, np.ones(4), nodes=nodes)
+
+
 @pytest.mark.parametrize("shape", [(8,), (2, 2), (3,), (2, 4, 1), ()])
 @pytest.mark.parametrize("route", [bifurcation_function, bifurcation_function_quadrature],
                          ids=["closed", "quadrature"])

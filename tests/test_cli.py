@@ -213,6 +213,19 @@ def test_verify_overflow_is_a_numerical_failure_not_an_input_error(capsys):
     assert err.startswith("numerical failure: branch 1 failed: state became non-finite")
 
 
+@pytest.mark.parametrize("epsilon, line", [
+    ("0.01", "shooting Newton stagnated after 3 iterations (best residual 4.115e-05)"),
+    ("0.005", "shooting Newton stagnated after 3 iterations (best residual 1.043e-05)"),
+    ("1e300", "state became non-finite near t = 1.32512e-299"),
+    ("1e10", "state norm exceeded 1e+12 near t = 2.3997e-09 (blow-up)"),
+], ids=["0.01", "0.005", "1e300", "1e10"])
+def test_verify_failure_line_is_pinned(capsys, epsilon, line):
+    # the exact lines README quotes: the stepper's arithmetic must not move them
+    code, _, err = run(capsys, "verify", "--epsilon", epsilon)
+    assert code == 2
+    assert err == f"numerical failure: branch 1 failed: {line}\n"
+
+
 def test_verify_inadmissible_exits_1_before_integration(capsys):
     code, _, err = run(capsys, "verify", "--b", "1", "--epsilon", "0.01")
     assert code == 1

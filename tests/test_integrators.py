@@ -390,6 +390,24 @@ def test_stepper_failure_table(bad_call, bad_value, start, rejects_non_finite, f
     assert err.value.last_state.tolist() == last_state
 
 
+@pytest.mark.parametrize("bad_value", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_last_stage_on_every_attempt_underflows_the_step(bad_value):
+    # each attempt's error estimate is non-finite, so each rejection shrinks h by
+    # _FAC_MIN until it underflows, long before MAX_STEPS attempts
+    calls = 0
+
+    def field(t, s):
+        nonlocal calls
+        calls += 1
+        return [bad_value if calls > 1 and (calls - 1) % 6 == 0 else 1.0]
+
+    with pytest.raises(IntegrationError, match="^step size underflow at t = 0$") as err:
+        integrate(field, [0.0], 1.0)
+    assert err.value.reason == "step_underflow"
+    assert calls == 2599
+    assert err.value.last_time == 0.0 and err.value.last_state.tolist() == [0.0]
+
+
 def _never_called(_):
     raise AssertionError("the guard must reject the input before any evaluation")
 
@@ -398,7 +416,7 @@ _NAN, _INF = float("nan"), float("inf")
 
 
 @pytest.mark.parametrize("call", [
-    pytest.param(lambda: periodic_trapezoid(_never_called, _NAN, 8), id="trapezoid-period-nan"),
+    pytest.param(lambda: periodic_trapezoid(np.zeros((8, 4)), _NAN), id="trapezoid-period-nan"),
     pytest.param(lambda: finite_difference_jacobian(_never_called, np.zeros(4), step=_NAN),
                  id="fd-step-nan"),
     pytest.param(lambda: newton_solve(_never_called, np.zeros(4), tol=_NAN), id="newton-tol-nan"),

@@ -361,7 +361,7 @@ def test_averaged_periodic_solutions_refuse_eps_zero_and_inadmissible():
 
 
 @pytest.mark.parametrize("solve", [averaged_periodic_solution, bifurcating_orbit])
-@pytest.mark.parametrize("branch", [0, 3])
+@pytest.mark.parametrize("branch", [0, 3, True])
 def test_per_branch_solvers_reject_unknown_branches(solve, branch):
     with pytest.raises(ValueError, match="branch must be 1 or 2"):
         solve(canonical_config(0.01), branch)
@@ -473,7 +473,7 @@ def test_recurrence_defect_multi_period(rng):
     assert recurrence_defect(cfg, orbit, periods=5) < 1e-7
 
 
-@pytest.mark.parametrize("periods", [0, -1, 1.5])
+@pytest.mark.parametrize("periods", [0, -1, 1.5, True])
 def test_recurrence_defect_rejects_a_non_positive_or_fractional_period_count(periods):
     # its own message, not the stepper's complaint about t_end
     orbit = _fake_orbit(0.0, averaged_zero_points(canonical_config(0.0))[0])
